@@ -36,6 +36,7 @@ from .graph import (
     embed,
     extract,
     fingerprint,
+    graph_key,
     similarity,
 )
 from .agents import (
@@ -93,6 +94,7 @@ __all__ = [
     "export",
     "extract",
     "fingerprint",
+    "graph_key",
     "ingest",
     "log_agent",
     "metric_agent",

@@ -16,7 +16,7 @@ from pathlib import Path
 from .config import Config
 from .errors import ConfigError, EngineError
 from .evaluation import run_benchmark
-from .graph import embed, fingerprint
+from .graph import from_text, graph_key
 from .memory import Memory, load_raw_records
 from .reasoner import (
     Transcript,
@@ -236,20 +236,18 @@ def cmd_memory(args, cfg: Config) -> int:
                     print(f"  [{s.index}] {s.stage} {s.pod}/{s.op} -> {s.verdict}")
                 return 0
         raise ConfigError(f"no entry matches fingerprint prefix {args.fingerprint}")
-    # verify: re-check entry invariants record by record
+    # verify: re-derive both keys and re-check entry invariants record by record
     violations = []
     for lineno, body in load_raw_records(cfg.memory_path):
-        from .graph import from_text
-
         graph = from_text(body["graph"])
-        expected = fingerprint(graph).digest
+        f, e = graph_key(graph, len(body["embedding"]))
+        expected = f.digest
         if body["fingerprint"] != expected:
             violations.append(
                 f"line {lineno}: fingerprint {body['fingerprint'][:12]} != "
                 f"graph hash {expected[:12]}"
             )
-        vec = embed(graph, len(body["embedding"])).vector
-        if not np.allclose(np.asarray(body["embedding"]), vec, atol=1e-9):
+        if not np.allclose(np.asarray(body["embedding"]), e.vector, atol=1e-9):
             violations.append(f"line {lineno}: embedding does not match graph")
         transcript = Transcript.from_dict(body["transcript"])
         for step in transcript.steps:

@@ -77,12 +77,6 @@ class CausalGraph:
     def node_ids(self) -> list[str]:
         return sorted(self.nodes)
 
-    def out_neighbors(self, node_id: str) -> list[str]:
-        return sorted(v for (u, v) in self.edges if u == node_id)
-
-    def in_neighbors(self, node_id: str) -> list[str]:
-        return sorted(u for (u, v) in self.edges if v == node_id)
-
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -221,8 +215,11 @@ def _assert_acyclic(nodes: dict, edges: dict) -> None:
 def _wl_label_rounds(g: CausalGraph, rounds: int = WL_ROUNDS) -> list[dict[str, str]]:
     """Label refinements for rounds 0..rounds over directed neighborhoods."""
     labels = {nid: g.nodes[nid].wl_label for nid in g.nodes}
-    out_adj = {nid: g.out_neighbors(nid) for nid in g.nodes}
-    in_adj = {nid: g.in_neighbors(nid) for nid in g.nodes}
+    out_adj: dict[str, list[str]] = {nid: [] for nid in g.nodes}
+    in_adj: dict[str, list[str]] = {nid: [] for nid in g.nodes}
+    for (u, v) in g.edges:
+        out_adj[u].append(v)
+        in_adj[v].append(u)
     history = [dict(labels)]
     for _ in range(rounds):
         new_labels = {}
@@ -236,21 +233,53 @@ def _wl_label_rounds(g: CausalGraph, rounds: int = WL_ROUNDS) -> list[dict[str, 
     return history
 
 
-def fingerprint(g: CausalGraph, rounds: int = WL_ROUNDS) -> Fingerprint:
-    """Canonical topology hash: order-independent digest of final WL labels.
+def graph_key(
+    g: CausalGraph, dim: int = DEFAULT_DIM, rounds: int = WL_ROUNDS
+) -> tuple[Fingerprint, Embedding]:
+    """Both keys of a graph from one WL refinement.
 
-    Insertion order never matters; neighbor multisets are sorted and the
-    digest is taken over the sorted multiset of refined labels.
+    The fingerprint is a canonical topology hash: an order-independent
+    digest of the sorted multiset of final WL labels, so insertion order
+    never matters. The embedding hashes the WL subtree features of every
+    round into ``dim`` count buckets with a fixed key and L2-normalizes
+    them. Counts never cancel, so a non-empty graph always has norm one and
+    isomorphic graphs map to identical vectors; the empty graph maps to the
+    zero vector. Both are exact functions of the graph, so a caller may
+    compute them once and keep them.
     """
-    final = _wl_label_rounds(g, rounds)[-1]
-    payload = f"wlfp.v1|rounds={rounds}|" + "\n".join(sorted(final.values()))
-    return Fingerprint(hashlib.sha256(payload.encode()).hexdigest())
+    if dim < 8:
+        raise DataError(f"embedding dim must be >= 8, got {dim}")
+    history = _wl_label_rounds(g, rounds)
+    payload = f"wlfp.v1|rounds={rounds}|" + "\n".join(sorted(history[-1].values()))
+    f = Fingerprint(hashlib.sha256(payload.encode()).hexdigest())
+    vec = np.zeros(dim, dtype=np.float64)
+    for feature, count in _features(history).items():
+        vec[feature_bucket(feature, dim)] += count
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec = vec / norm
+    return f, Embedding(vector=vec)
+
+
+def fingerprint(g: CausalGraph, rounds: int = WL_ROUNDS) -> Fingerprint:
+    """Canonical topology hash of ``g``; see ``graph_key``."""
+    return graph_key(g, rounds=rounds)[0]
+
+
+def embed(g: CausalGraph, dim: int = DEFAULT_DIM, rounds: int = WL_ROUNDS) -> Embedding:
+    """Deterministic whole-graph embedding for nearest-neighbor retrieval;
+    see ``graph_key``."""
+    return graph_key(g, dim, rounds)[1]
 
 
 def wl_features(g: CausalGraph, rounds: int = WL_ROUNDS) -> Counter:
     """WL subtree feature histogram over rounds 0..rounds."""
+    return _features(_wl_label_rounds(g, rounds))
+
+
+def _features(history: list[dict[str, str]]) -> Counter:
     feats: Counter = Counter()
-    for r, labels in enumerate(_wl_label_rounds(g, rounds)):
+    for r, labels in enumerate(history):
         for label in labels.values():
             feats[f"r{r}:{label}"] += 1
     return feats
@@ -259,25 +288,6 @@ def wl_features(g: CausalGraph, rounds: int = WL_ROUNDS) -> Counter:
 def feature_bucket(feature: str, dim: int) -> int:
     h = hashlib.blake2b(feature.encode(), key=EMBED_SEED, digest_size=8)
     return int.from_bytes(h.digest(), "big") % dim
-
-
-def embed(g: CausalGraph, dim: int = DEFAULT_DIM, rounds: int = WL_ROUNDS) -> Embedding:
-    """Deterministic whole-graph embedding for nearest-neighbor retrieval.
-
-    WL subtree features are hashed into ``dim`` count buckets with a fixed
-    key and the vector is L2-normalized. Counts never cancel, so a
-    non-empty graph always has norm one and isomorphic graphs map to
-    identical vectors; the empty graph maps to the zero vector.
-    """
-    if dim < 8:
-        raise DataError(f"embedding dim must be >= 8, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    for feature, count in wl_features(g, rounds).items():
-        vec[feature_bucket(feature, dim)] += count
-    norm = float(np.linalg.norm(vec))
-    if norm > 0:
-        vec = vec / norm
-    return Embedding(vector=vec)
 
 
 # -- comparison ---------------------------------------------------------------
@@ -316,30 +326,42 @@ def node_dist(a: NodeAttributes, b: NodeAttributes, sigma_floor: float = SIGMA_F
     return metric_term + log_term
 
 
-def _matched_pairs(g_new: CausalGraph, g_old: CausalGraph):
-    new_by_key = {g_new.nodes[n].key: n for n in g_new.nodes}
-    old_by_key = {g_old.nodes[n].key: n for n in g_old.nodes}
-    for key in sorted(set(new_by_key) & set(old_by_key)):
-        yield new_by_key[key], old_by_key[key]
+def node_index(g: CausalGraph) -> dict[tuple[str, str], str]:
+    """Node id by (pod, operation) identity key."""
+    return {g.nodes[n].key: n for n in g.nodes}
 
 
-def attribute_similarity(g_new: CausalGraph, g_old: CausalGraph) -> float:
+def attribute_similarity(
+    g_new: CausalGraph,
+    g_old: CausalGraph,
+    new_index: dict | None = None,
+    old_index: dict | None = None,
+) -> float:
     """Mean of exp(-node_dist) over matched node keys; unmatched keys in
-    either graph contribute zero to the mean."""
-    keys_new = {g_new.nodes[n].key for n in g_new.nodes}
-    keys_old = {g_old.nodes[n].key for n in g_old.nodes}
-    universe = keys_new | keys_old
+    either graph contribute zero to the mean.
+
+    ``new_index`` and ``old_index`` are the graphs' ``node_index`` maps,
+    for callers that keep them; they are built here when absent.
+    """
+    new_index = node_index(g_new) if new_index is None else new_index
+    old_index = node_index(g_old) if old_index is None else old_index
+    matched = new_index.keys() & old_index.keys()
+    universe = len(new_index) + len(old_index) - len(matched)
     if not universe:
         return 0.0
     total = 0.0
-    for nid_new, nid_old in _matched_pairs(g_new, g_old):
-        total += math.exp(-node_dist(g_new.nodes[nid_new], g_old.nodes[nid_old]))
-    return total / len(universe)
+    for key in sorted(matched):
+        total += math.exp(-node_dist(g_new.nodes[new_index[key]], g_old.nodes[old_index[key]]))
+    return total / universe
 
 
 def structural_similarity(g_new: CausalGraph, g_old: CausalGraph, dim: int = DEFAULT_DIM) -> float:
     """Embedding cosine mapped from [-1, 1] to [0, 1]."""
-    return (cosine(embed(g_new, dim).vector, embed(g_old, dim).vector) + 1.0) / 2.0
+    return _unit(cosine(embed(g_new, dim).vector, embed(g_old, dim).vector))
+
+
+def _unit(cos: float) -> float:
+    return (cos + 1.0) / 2.0
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -357,22 +379,31 @@ def similarity(
 ) -> float:
     """Blend of structural and attribute agreement in [0, 1], symmetric,
     equal to 1 for identical non-empty graphs."""
+    cos = cosine(embed(g_new, dim).vector, embed(g_old, dim).vector)
+    return blend_similarity(alpha, cos, attribute_similarity(g_new, g_old))
+
+
+def blend_similarity(alpha: float, cos: float, s_attr: float) -> float:
+    """``similarity`` from an embedding cosine and an attribute similarity
+    the caller already holds; bit-identical to recomputing both."""
     if not (0.0 <= alpha <= 1.0):
         raise DataError(f"alpha must lie in [0, 1], got {alpha}")
-    s_struct = structural_similarity(g_new, g_old, dim)
-    s_attr = attribute_similarity(g_new, g_old)
-    return alpha * s_struct + (1.0 - alpha) * s_attr
+    return alpha * _unit(cos) + (1.0 - alpha) * s_attr
 
 
-def divergence(g_new: CausalGraph, g_old: CausalGraph, delta: float) -> set[str]:
-    """Nodes of g_new that moved past delta or have no counterpart in g_old."""
+def divergence(
+    g_new: CausalGraph, g_old: CausalGraph, delta: float, old_index: dict | None = None
+) -> set[str]:
+    """Nodes of g_new that moved past delta or have no counterpart in g_old.
+
+    ``old_index`` is g_old's ``node_index``, built here when absent."""
     if delta <= 0:
         raise DataError(f"delta must be > 0, got {delta}")
-    old_by_key = {g_old.nodes[n].key: n for n in g_old.nodes}
+    old_index = node_index(g_old) if old_index is None else old_index
     out = set()
     for nid in g_new.nodes:
         attrs = g_new.nodes[nid]
-        counterpart = old_by_key.get(attrs.key)
+        counterpart = old_index.get(attrs.key)
         if counterpart is None:
             out.add(nid)
         elif node_dist(attrs, g_old.nodes[counterpart]) > delta:

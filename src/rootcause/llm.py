@@ -61,6 +61,9 @@ TEMPLATES = {
     ),
 }
 
+# Operations whose schema decision is a JSON boolean.
+BOOLEAN_OPS = frozenset({"suspect", "confirm"})
+
 REPAIR_PROMPT = (
     "Your previous reply was not a valid JSON object of the required schema. "
     "Reply again with only the JSON object."
@@ -244,7 +247,7 @@ class LlmPolicy(PolicyContract):
     def render_prompt(self, op: str, evidence: str) -> str:
         return f"[{PROMPT_VERSION}] " + TEMPLATES[op].format(evidence=evidence)
 
-    def _round_trip(self, body: dict) -> dict | None:
+    def _round_trip(self, body: dict, op: str) -> dict | None:
         with self._gate:
             self.events.requests += 1
             response = self.transport.send(body)
@@ -263,17 +266,19 @@ class LlmPolicy(PolicyContract):
             return None
         if not isinstance(verdict, dict) or "decision" not in verdict:
             return None
+        if op in BOOLEAN_OPS and not isinstance(verdict["decision"], bool):
+            return None  # "false" or 1 is a schema violation, not a verdict
         return verdict
 
     def _ask(self, op: str, evidence: str) -> dict | None:
         """One request, one repair attempt, then None to signal fallback."""
         prompt = self.render_prompt(op, evidence)
         try:
-            verdict = self._round_trip(self._body(prompt))
+            verdict = self._round_trip(self._body(prompt), op)
             if verdict is not None:
                 return verdict
             self.events.repairs += 1
-            verdict = self._round_trip(self._body(prompt + "\n\n" + REPAIR_PROMPT))
+            verdict = self._round_trip(self._body(prompt + "\n\n" + REPAIR_PROMPT), op)
             if verdict is not None:
                 return verdict
         except (ConfigError, ReplayMissError):
@@ -297,7 +302,7 @@ class LlmPolicy(PolicyContract):
         verdict = self._ask("suspect", evidence)
         if verdict is None:
             return self.fallback.suspect(span, trace_evidence)
-        return bool(verdict["decision"])
+        return verdict["decision"]
 
     def confirm(self, span, log_evidence, metric_evidence):
         evidence = "\n".join([
@@ -306,7 +311,7 @@ class LlmPolicy(PolicyContract):
         verdict = self._ask("confirm", evidence)
         if verdict is None:
             return self.fallback.confirm(span, log_evidence, metric_evidence)
-        return bool(verdict["decision"])
+        return verdict["decision"]
 
     def suspicious_children(self, span, trace_evidence):
         evidence = f"{_span_block(span)}\n{_calls_block(trace_evidence)}"

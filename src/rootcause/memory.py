@@ -7,6 +7,16 @@ the stored embeddings, then exact similarity scoring on the shortlist,
 and lands in one of three bands: reuse the stored transcript outright,
 resume reasoning at the nodes that diverged, or start fresh.
 
+Keys are computed once per graph. ``store`` re-derives an entry's
+fingerprint and embedding from its graph in one WL pass, rejects the
+entry if either disagrees, and keeps the re-derived vector as a row of an
+append-only embedding matrix, beside the graph's (pod, operation) node
+map. A query brings its own embedding (``analyze_alert`` computes it once
+with the fingerprint it stores under), so a decision embeds nothing: the
+shortlist is one matrix-vector product, and exact scoring reads the
+cached rows and node maps. Both keys are fixed functions of the graph, so
+the cache cannot change a result.
+
 Retrieval is an exact linear scan over the embedding matrix; at the entry
 counts this engine sees (well under 1e4) an ANN index would be pure
 overhead. ``Memory._nn_shortlist`` is the seam to replace if that ever
@@ -14,20 +24,35 @@ changes.
 
 Concurrency: single writer, many readers. ``store`` and ``persist``
 serialize through one lock and readers always see a complete entry,
-never a partial one.
+never a partial one. ``persist`` replaces the file atomically, so a crash
+mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MemoryIntegrityError, MemoryValidationError
-from .graph import CausalGraph, Embedding, Fingerprint, divergence, embed, fingerprint, from_text, similarity, to_text
+from .graph import (
+    CausalGraph,
+    Embedding,
+    Fingerprint,
+    attribute_similarity,
+    blend_similarity,
+    cosine,
+    divergence,
+    from_text,
+    graph_key,
+    node_index,
+    to_text,
+)
 
 FORMAT_NAME = "rootcause-memory"
 FORMAT_VERSION = 1
@@ -63,37 +88,45 @@ class Decision:
             raise MemoryValidationError(f"unknown decision kind {self.kind!r}")
 
 
+class _Slot(NamedTuple):
+    """A stored entry with the keys derived from its graph in ``store``."""
+
+    entry: MemoryEntry
+    row: int  # row of the entry's embedding in ``Memory._matrix``
+    nodes: dict  # graph.node_index of the entry's graph
+
+
 class Memory:
     """Store of analyzed alerts keyed by graph fingerprint."""
 
     def __init__(self, dim: int = 128, alpha: float = 0.5):
         self.dim = dim
         self.alpha = alpha
-        self._entries: dict[str, MemoryEntry] = {}
-        self._order: list[str] = []  # insertion order of fingerprints
+        self._slots: dict[str, _Slot] = {}
+        self._order: list[str] = []  # insertion order of fingerprints = matrix rows
+        self._matrix = np.zeros((0, dim), dtype=np.float64)  # capacity >= len(_order)
         self._by_alert: dict[str, str] = {}
         self._lock = threading.Lock()
         self.replacements = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slots)
 
     def entries(self) -> list[MemoryEntry]:
-        return [self._entries[fp] for fp in self._order]
+        return [self._slots[fp].entry for fp in self._order]
 
     def by_alert(self, alert_id: str) -> MemoryEntry | None:
         fp = self._by_alert.get(alert_id)
-        return self._entries.get(fp) if fp else None
+        return self._slots[fp].entry if fp else None
 
     def store(self, entry: MemoryEntry) -> None:
         """Insert or replace (latest wins on identical fingerprint)."""
-        expected = fingerprint(entry.graph)
+        expected, expected_e = graph_key(entry.graph, self.dim)
         if entry.f.digest != expected.digest:
             raise MemoryValidationError(
                 f"entry fingerprint {entry.f.digest[:12]} does not match its graph "
                 f"(expected {expected.digest[:12]})"
             )
-        expected_e = embed(entry.graph, self.dim)
         if not np.allclose(entry.e.vector, expected_e.vector, atol=1e-12):
             raise MemoryValidationError("entry embedding does not match its graph")
         for step in getattr(entry.transcript, "steps", []):
@@ -102,46 +135,86 @@ class Memory:
                     f"transcript step {step.index} references node {step.node!r} "
                     "absent from the stored graph"
                 )
+        nodes = node_index(entry.graph)
         with self._lock:
             fp = entry.f.digest
-            if fp in self._entries:
+            old = self._slots.get(fp)
+            if old is not None:
                 self.replacements += 1
-                old = self._entries[fp]
-                self._by_alert.pop(old.alert_id, None)
+                self._by_alert.pop(old.entry.alert_id, None)
+                row = old.row
             else:
+                row = len(self._order)
+                if row == len(self._matrix):
+                    grown = np.zeros((max(2 * row, 16), self.dim), dtype=np.float64)
+                    grown[:row] = self._matrix
+                    self._matrix = grown
+            # The row is written before the slot and the order entry that
+            # make it visible, so a reader never scores a half-stored entry.
+            self._matrix[row] = expected_e.vector
+            self._slots[fp] = _Slot(entry, row, nodes)
+            if old is None:
                 self._order.append(fp)
-            self._entries[fp] = entry
             self._by_alert[entry.alert_id] = fp
 
     # -- retrieval ------------------------------------------------------
 
-    def _nn_shortlist(self, g_new: CausalGraph, k_prime: int) -> list[MemoryEntry]:
+    def _nn_shortlist(self, query: np.ndarray, k_prime: int) -> list[_Slot]:
+        """The k_prime entries of highest embedding cosine, ties broken by
+        fingerprint: the first k_prime of all entries sorted by
+        (-cosine, fingerprint)."""
         order = self._order
-        if not order:
+        n = len(order)
+        if not n:
             return []
-        matrix = np.stack([self._entries[fp].e.vector for fp in order])
-        query = embed(g_new, self.dim).vector
-        cosines = matrix @ query  # embeddings are unit or zero norm
-        ranked = sorted(
-            range(len(order)), key=lambda i: (-cosines[i], order[i])
-        )[:k_prime]
-        return [self._entries[order[i]] for i in ranked]
+        neg = -(self._matrix[:n] @ query)  # embeddings are unit or zero norm
+        if n > k_prime:
+            # Every entry tied with the k_prime-th cosine stays a candidate,
+            # so the fingerprint tie-break below sees all of them.
+            cut = np.partition(neg, k_prime - 1)[k_prime - 1]
+            candidates = np.flatnonzero(neg <= cut).tolist()
+        else:
+            candidates = range(n)
+        ranked = sorted(candidates, key=lambda i: (neg[i], order[i]))[:k_prime]
+        return [self._slots[order[i]] for i in ranked]
 
-    def retrieve(self, g_new: CausalGraph, k: int) -> list[tuple[MemoryEntry, float]]:
+    def _scored(
+        self, g_new: CausalGraph, k: int, query: Embedding | None
+    ) -> list[tuple[_Slot, float]]:
+        if k < 1:
+            raise MemoryValidationError(f"retrieve k must be >= 1, got {k}")
+        if not self._order:
+            return []
+        if query is None:
+            query = graph_key(g_new, self.dim)[1]
+        q = query.vector
+        if q.shape != (self.dim,):
+            raise MemoryValidationError(
+                f"query embedding has shape {q.shape}, memory dim is {self.dim}"
+            )
+        q_nodes = node_index(g_new)
+        k_prime = max(4 * k, 32)
+        scored = []
+        for slot in self._nn_shortlist(q, k_prime):
+            # cosine() on the cached row, not the shortlist's dot product:
+            # that skips the norm division and may differ in the last bit.
+            s_attr = attribute_similarity(g_new, slot.entry.graph, q_nodes, slot.nodes)
+            cos = cosine(q, self._matrix[slot.row])
+            scored.append((slot, blend_similarity(self.alpha, cos, s_attr)))
+        scored.sort(key=lambda pair: (-pair[1], pair[0].entry.f.digest))
+        return scored[:k]
+
+    def retrieve(
+        self, g_new: CausalGraph, k: int, query: Embedding | None = None
+    ) -> list[tuple[MemoryEntry, float]]:
         """Top-k stored entries by exact similarity.
 
         A cosine shortlist of size max(4k, 32) is scored exactly; whenever
         the store fits inside the shortlist this equals exhaustive search.
+        ``query`` is ``g_new``'s embedding at this memory's dim, computed
+        here when absent.
         """
-        if k < 1:
-            raise MemoryValidationError(f"retrieve k must be >= 1, got {k}")
-        k_prime = max(4 * k, 32)
-        scored = [
-            (entry, similarity(g_new, entry.graph, self.alpha, self.dim))
-            for entry in self._nn_shortlist(g_new, k_prime)
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0].f.digest))
-        return scored[:k]
+        return [(slot.entry, score) for slot, score in self._scored(g_new, k, query)]
 
     def decide(
         self,
@@ -149,20 +222,25 @@ class Memory:
         tau_skip: float,
         tau_partial: float,
         delta: float,
+        query: Embedding | None = None,
     ) -> Decision:
-        """Three-way reuse decision against the best stored match."""
+        """Three-way reuse decision against the best stored match.
+
+        ``query`` is ``g_new``'s embedding at this memory's dim, computed
+        here when absent."""
         if not (0.0 <= tau_partial <= tau_skip <= 1.0):
             raise MemoryValidationError(
                 f"need 0 <= tau_partial <= tau_skip <= 1, got {tau_partial}, {tau_skip}"
             )
-        best = self.retrieve(g_new, 1) if len(self) else []
+        best = self._scored(g_new, 1, query)
         if not best:
             return Decision(kind="Fresh", matched=None, similarity=0.0)
-        entry, score = best[0]
+        slot, score = best[0]
+        entry = slot.entry
         if score >= tau_skip:
             return Decision(kind="Reuse", matched=entry, similarity=score)
         if score >= tau_partial:
-            nodes = divergence(g_new, entry.graph, delta)
+            nodes = divergence(g_new, entry.graph, delta, slot.nodes)
             if not nodes:
                 # In the resume band yet nothing diverges past delta:
                 # degrade to reuse and record the degenerate case.
@@ -183,7 +261,7 @@ class Memory:
                 "entries": len(self._order),
             })]
             for fp in self._order:
-                entry = self._entries[fp]
+                entry = self._slots[fp].entry
                 body = {
                     "fingerprint": entry.f.digest,
                     "timestamp_ms": entry.timestamp,
@@ -194,8 +272,7 @@ class Memory:
                 }
                 body["checksum"] = _checksum(body)
                 lines.append(_canonical_json(body))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "Memory":
@@ -296,6 +373,20 @@ def remap(entry: MemoryEntry, g_new: CausalGraph):
         steps=steps,
         stage_markers=dict(entry.transcript.stage_markers),
     )
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    onto ``path``: readers see the old file or the new one, never a part."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _canonical_json(obj) -> str:

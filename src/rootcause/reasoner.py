@@ -42,7 +42,7 @@ from .agents import (
 )
 from .config import Config
 from .errors import DataError
-from .graph import extract, fingerprint, embed
+from .graph import extract, graph_key
 from .memory import Decision, Memory, MemoryEntry, remap
 from .telemetry import Alert, AlertWindow, LogEntry, Span, TelemetryStore, Topology
 
@@ -665,9 +665,13 @@ def analyze_alert(
     weights = _weights(config)
     budget = Budget(max_depth=config.max_depth, max_steps=config.max_steps)
 
+    # Both keys come from one WL pass; the memory scores with the same
+    # embedding it will store, unless its dim differs from the config's.
+    f, e = graph_key(g, config.embedding_dim)
     memory_active = mem is not None and config.memory_enabled
     if memory_active:
-        decision = mem.decide(g, config.tau_skip, config.tau_partial, config.delta)
+        query = e if mem.dim == config.embedding_dim else None
+        decision = mem.decide(g, config.tau_skip, config.tau_partial, config.delta, query)
     else:
         decision = Decision(kind="Fresh", matched=None, similarity=0.0)
 
@@ -708,8 +712,8 @@ def analyze_alert(
         )
 
     entry = MemoryEntry(
-        f=fingerprint(g),
-        e=embed(g, config.embedding_dim),
+        f=f,
+        e=e,
         graph=g,
         meta=(alert.timestamp, alert.alert_id),
         transcript=transcript,
@@ -916,7 +920,7 @@ def render_transcript(text: str) -> str:
             flags.append("stale")
         if s["errored"]:
             flags.append("errored")
-        suffix = f" [{' ,'.join(flags)}]" if flags else ""
+        suffix = f" [{', '.join(flags)}]" if flags else ""
         lines.append(
             f"  [{s['index']:>3}] {s['stage']:<10} {s['pod']}/{s['op']}"
             f" -> {s['verdict']}{suffix}"

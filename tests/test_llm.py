@@ -187,3 +187,40 @@ def test_end_to_end_analyze_alert_replay_equals_live(mock_server, tmp_path, walk
                              replay_policy, cfg)
     assert export_transcript(replayed, store.topology) == export_transcript(live, store.topology)
     assert replayed.ranking.as_rows() == live.ranking.as_rows()
+
+
+class CannedTransport:
+    """In-process transport that answers every request with one reply."""
+
+    def __init__(self, content: str):
+        self.content = content
+        self.requests = 0
+
+    def send(self, body: dict) -> dict:
+        self.requests += 1
+        return {"choices": [{"message": {"content": self.content}}]}
+
+
+@pytest.mark.parametrize("decision", ['"false"', '"true"', "1"])
+def test_non_boolean_verdict_is_repaired_then_falls_back(decision):
+    transport = CannedTransport(f'{{"decision": {decision}, "rationale": "r"}}')
+    policy = LlmPolicy(LlmConfig(), transport=transport)
+    quiet = make_span(span_id="s1", status=0)
+    # A truthiness cast reads all three as True; the deterministic
+    # fallback clears a quiet span with no siblings and no evidence.
+    assert policy.suspect(quiet, []) is False
+    assert policy.confirm(quiet, [], []) is False
+    assert transport.requests == 4  # one request and one repair per predicate
+    assert policy.events.repairs == 2
+    assert policy.events.fallbacks == 2
+
+
+@pytest.mark.parametrize("decision, expected", [("true", True), ("false", False)])
+def test_boolean_verdict_is_taken_as_is(decision, expected):
+    transport = CannedTransport(f'{{"decision": {decision}, "rationale": "r"}}')
+    policy = LlmPolicy(LlmConfig(), transport=transport)
+    errored = make_span(span_id="s1", status=13)
+    assert policy.suspect(errored, []) is expected
+    assert policy.confirm(errored, [], []) is expected
+    assert transport.requests == 2
+    assert policy.events.repairs == 0 and policy.events.fallbacks == 0

@@ -323,6 +323,51 @@ def test_persist_load_retrieve_parity(tmp_path):
     assert before == after
 
 
+def test_persist_failing_mid_write_keeps_the_old_file(tmp_path, monkeypatch):
+    import builtins
+
+    from rootcause import memory as memory_module
+
+    mem = Memory(dim=DIM)
+    for i in range(3):
+        mem.store(make_entry(build_graph([f"p{i}-0", f"q{i}-0"], alert_id=f"a{i}")))
+    path = tmp_path / "mem.jsonl"
+    mem.persist(path)
+    before = path.read_bytes()
+    for i in range(3, 6):
+        mem.store(make_entry(build_graph([f"p{i}-0", f"q{i}-0"], alert_id=f"a{i}")))
+
+    class HalfWriter:
+        """File wrapper whose write stores half the text, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode or "x" in mode else fh
+
+    monkeypatch.setattr(memory_module, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        mem.persist(path)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert len(Memory.load(path)) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["mem.jsonl"]  # no stray temp file
+
+
 def test_load_truncated_file_is_integrity_error(tmp_path):
     mem = Memory(dim=DIM)
     for i in range(3):

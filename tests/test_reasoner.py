@@ -22,6 +22,7 @@ from rootcause.reasoner import (
     final_review,
     initial_reasoning,
     recursive_rcl,
+    render_transcript,
     replay_transcript,
 )
 from rootcause.telemetry import (
@@ -534,3 +535,20 @@ def test_transcript_export_replay_round_trip(walkthrough):
     recomputed, stored_rows = replay_transcript(text, cfg)
     assert recomputed.as_rows() == stored_rows
     assert json.loads(text)["alert_id"] == alert.alert_id
+
+
+def test_render_transcript_separates_flags_with_comma_space(walkthrough):
+    store, alert = walkthrough
+    cfg = fast_config()
+    analysis = analyze_alert(
+        alert, store, store.topology, Memory(dim=cfg.embedding_dim),
+        deterministic_policy(cfg), cfg,
+    )
+    doc = json.loads(export_transcript(analysis, store.topology))
+    doc["steps"][0].update(stale=True, errored=True)
+    for step in doc["steps"][1:]:
+        step.update(stale=False, errored=False)
+    lines = render_transcript(json.dumps(doc)).splitlines()
+    flagged = [ln for ln in lines if "[stale" in ln]
+    assert len(flagged) == 1
+    assert flagged[0].endswith(" [stale, errored]")
