@@ -37,9 +37,8 @@ print(f"decisions: {on.decision_histogram}")
 print(f"policy calls: {on.total_policy_calls}, wall: {wall_on:.1f}s")
 
 print("\n=== memory OFF ===")
-off_cfg = Config(**{**cfg.__dict__, "memory_enabled": False})
 t0 = time.perf_counter()
-off = analyze_window(window, store, dup.topology, None, policy, off_cfg)
+off = analyze_window(window, store, dup.topology, None, policy, cfg)
 wall_off = time.perf_counter() - t0
 print(f"decisions: {off.decision_histogram}")
 print(f"policy calls: {off.total_policy_calls}, wall: {wall_off:.1f}s")

@@ -16,10 +16,8 @@ from pathlib import Path
 from .config import Config
 from .errors import ConfigError, EngineError
 from .evaluation import run_benchmark
-from .graph import from_text, graph_key
-from .memory import Memory, load_raw_records
+from .memory import Memory, verify
 from .reasoner import (
-    Transcript,
     analyze_window,
     deterministic_policy,
     export_transcript,
@@ -28,8 +26,6 @@ from .reasoner import (
 )
 from .scenario import FAULT_KINDS, ScenarioSpec, generate, load_scenario
 from .telemetry import ingest, windows_from_alerts
-
-import numpy as np
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,28 +232,10 @@ def cmd_memory(args, cfg: Config) -> int:
                     print(f"  [{s.index}] {s.stage} {s.pod}/{s.op} -> {s.verdict}")
                 return 0
         raise ConfigError(f"no entry matches fingerprint prefix {args.fingerprint}")
-    # verify: re-derive both keys and re-check entry invariants record by record
-    violations = []
-    for lineno, body in load_raw_records(cfg.memory_path):
-        graph = from_text(body["graph"])
-        f, e = graph_key(graph, len(body["embedding"]))
-        expected = f.digest
-        if body["fingerprint"] != expected:
-            violations.append(
-                f"line {lineno}: fingerprint {body['fingerprint'][:12]} != "
-                f"graph hash {expected[:12]}"
-            )
-        if not np.allclose(np.asarray(body["embedding"]), e.vector, atol=1e-9):
-            violations.append(f"line {lineno}: embedding does not match graph")
-        transcript = Transcript.from_dict(body["transcript"])
-        for step in transcript.steps:
-            if not step.stale and step.node not in graph.nodes:
-                violations.append(
-                    f"line {lineno}: step {step.index} references missing node {step.node}"
-                )
-    if violations:
-        for v in violations:
-            print(f"VIOLATION {v}")
+    problems = verify(cfg.memory_path)
+    for problem in problems:
+        print(f"VIOLATION {problem}")
+    if problems:
         return 1
     print("memory verified: all entries consistent")
     return 0

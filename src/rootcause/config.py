@@ -54,7 +54,6 @@ class Config:
     policy: str = "deterministic"
     llm: LlmConfig = field(default_factory=LlmConfig)
     memory_path: str | None = None
-    memory_enabled: bool = True
     baseline_minutes: float = 15.0
     sigma_floor: float = 1e-6
     timeout_factor: float = 3.0

@@ -189,12 +189,9 @@ def run_benchmark(
             store = scenario.to_store()
             mem = Memory(dim=config.embedding_dim, alpha=config.alpha) \
                 if memory_mode == "on" else None
-            cfg = config
-            if memory_mode == "off" and config.memory_enabled:
-                cfg = Config(**{**config.__dict__, "memory_enabled": False})
             for window in windows_from_alerts(store.alerts, config.window_ms):
                 report = analyze_window(
-                    window, store, scenario.topology, mem, policy, cfg, timer,
+                    window, store, scenario.topology, mem, policy, config, timer,
                 )
                 for failure in report.failures:
                     failures.append(dict(failure, scenario=name))

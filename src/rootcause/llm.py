@@ -61,8 +61,9 @@ TEMPLATES = {
     ),
 }
 
-# Operations whose schema decision is a JSON boolean.
-BOOLEAN_OPS = frozenset({"suspect", "confirm"})
+# The JSON type of each operation's schema decision.
+DECISION_TYPES = {"generate_instruction": str, "suspect": bool, "confirm": bool,
+                  "suspicious_children": list}
 
 REPAIR_PROMPT = (
     "Your previous reply was not a valid JSON object of the required schema. "
@@ -76,7 +77,8 @@ def request_digest(body: dict) -> str:
 
 
 class HttpTransport:
-    """Plain chat-completions client over urllib; no streaming."""
+    """Plain chat-completions client over urllib; no streaming. Retries
+    only connection errors, timeouts and HTTP 408, 429 and 5xx."""
 
     def __init__(self, config: LlmConfig):
         config.validate()
@@ -112,8 +114,10 @@ class HttpTransport:
                     raise ConfigError(
                         f"policy backend rejected credentials (HTTP {exc.code})"
                     )
+                if exc.code < 500 and exc.code not in (408, 429):
+                    raise  # the same request would be refused again
                 last_error = exc
-            except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+            except (urllib.error.URLError, TimeoutError) as exc:
                 last_error = exc
         raise last_error if last_error else ConfigError("transport failed without error")
 
@@ -266,8 +270,8 @@ class LlmPolicy(PolicyContract):
             return None
         if not isinstance(verdict, dict) or "decision" not in verdict:
             return None
-        if op in BOOLEAN_OPS and not isinstance(verdict["decision"], bool):
-            return None  # "false" or 1 is a schema violation, not a verdict
+        if not isinstance(verdict["decision"], DECISION_TYPES[op]):
+            return None  # "false" for a bool, or 1 for a list, violates the schema
         return verdict
 
     def _ask(self, op: str, evidence: str) -> dict | None:
@@ -295,7 +299,7 @@ class LlmPolicy(PolicyContract):
         verdict = self._ask("generate_instruction", evidence)
         if verdict is None:
             return self.fallback.generate_instruction(span, context)
-        return str(verdict["decision"])
+        return verdict["decision"]
 
     def suspect(self, span, trace_evidence):
         evidence = f"{_span_block(span)}\n{_calls_block(trace_evidence)}"
@@ -318,12 +322,9 @@ class LlmPolicy(PolicyContract):
         verdict = self._ask("suspicious_children", evidence)
         if verdict is None:
             return self.fallback.suspicious_children(span, trace_evidence)
-        decision = verdict["decision"]
-        if not isinstance(decision, list):
-            return self.fallback.suspicious_children(span, trace_evidence)
         by_id = {c.child_span: c for c in trace_evidence}
         picked = []
-        for child_id in decision:
+        for child_id in verdict["decision"]:
             call = by_id.get(str(child_id))
             if call is not None and call not in picked:
                 picked.append(call)

@@ -7,15 +7,19 @@ the stored embeddings, then exact similarity scoring on the shortlist,
 and lands in one of three bands: reuse the stored transcript outright,
 resume reasoning at the nodes that diverged, or start fresh.
 
-Keys are computed once per graph. ``store`` re-derives an entry's
-fingerprint and embedding from its graph in one WL pass, rejects the
-entry if either disagrees, and keeps the re-derived vector as a row of an
-append-only embedding matrix, beside the graph's (pod, operation) node
-map. A query brings its own embedding (``analyze_alert`` computes it once
-with the fingerprint it stores under), so a decision embeds nothing: the
-shortlist is one matrix-vector product, and exact scoring reads the
+A valid entry has one definition, ``_check_entry``: one WL pass
+re-derives the entry's keys from its graph, and ``store`` refuses an
+entry that disagrees with them. ``store`` keeps the re-derived vector as
+a row of an append-only embedding matrix, beside the graph's (pod,
+operation) node map. A query brings its own embedding (``analyze_alert``
+keys its graph once, at the memory's dim), so a decision embeds nothing:
+the shortlist is one matrix-vector product, and exact scoring reads the
 cached rows and node maps. Both keys are fixed functions of the graph, so
 the cache cannot change a result.
+
+A memory file has one reader, ``_read``, so ``Memory.load`` and ``verify``
+(``rootcause memory verify``) refuse the same files: ``load`` raises the
+first problem, ``verify`` lists them all, each naming ``path:line``.
 
 Retrieval is an exact linear scan over the embedding matrix; at the entry
 counts this engine sees (well under 1e4) an ANN index would be pure
@@ -39,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MemoryIntegrityError, MemoryValidationError
+from .errors import EngineError, MemoryIntegrityError, MemoryValidationError
 from .graph import (
     CausalGraph,
     Embedding,
@@ -120,21 +124,11 @@ class Memory:
         return self._slots[fp].entry if fp else None
 
     def store(self, entry: MemoryEntry) -> None:
-        """Insert or replace (latest wins on identical fingerprint)."""
-        expected, expected_e = graph_key(entry.graph, self.dim)
-        if entry.f.digest != expected.digest:
-            raise MemoryValidationError(
-                f"entry fingerprint {entry.f.digest[:12]} does not match its graph "
-                f"(expected {expected.digest[:12]})"
-            )
-        if not np.allclose(entry.e.vector, expected_e.vector, atol=1e-12):
-            raise MemoryValidationError("entry embedding does not match its graph")
-        for step in getattr(entry.transcript, "steps", []):
-            if step.node not in entry.graph.nodes:
-                raise MemoryValidationError(
-                    f"transcript step {step.index} references node {step.node!r} "
-                    "absent from the stored graph"
-                )
+        """Insert or replace (latest wins on identical fingerprint); raises
+        ``MemoryValidationError`` listing every problem ``_check_entry`` finds."""
+        expected_e, problems = _check_entry(entry, self.dim)
+        if problems:
+            raise MemoryValidationError("; ".join(problems))
         nodes = node_index(entry.graph)
         with self._lock:
             fp = entry.f.digest
@@ -268,7 +262,7 @@ class Memory:
                     "alert_id": entry.alert_id,
                     "embedding": [float(x) for x in entry.e.vector],
                     "graph": to_text(entry.graph),
-                    "transcript": _transcript_to_dict(entry.transcript),
+                    "transcript": entry.transcript.as_dict(),
                 }
                 body["checksum"] = _checksum(body)
                 lines.append(_canonical_json(body))
@@ -276,72 +270,18 @@ class Memory:
 
     @classmethod
     def load(cls, path) -> "Memory":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            raise MemoryIntegrityError(f"memory file not found: {path}")
-        if not lines:
-            raise MemoryIntegrityError(f"{path}: empty memory file")
-        manifest = _parse_json(path, 1, lines[0])
-        if manifest.get("format") != FORMAT_NAME:
-            raise MemoryIntegrityError(f"{path}:1: not a memory file")
-        if manifest.get("version") != FORMAT_VERSION:
-            raise MemoryIntegrityError(
-                f"{path}:1: unsupported version {manifest.get('version')}"
-            )
-        expected = manifest.get("entries", 0)
-        records = lines[1:]
-        if len(records) != expected:
-            raise MemoryIntegrityError(
-                f"{path}: truncated, manifest declares {expected} entries "
-                f"but found {len(records)}"
-            )
-        mem = cls(dim=manifest["dim"], alpha=manifest["alpha"])
-        from .reasoner import Transcript  # local import to avoid a module cycle
-
-        for lineno, raw in enumerate(records, start=2):
-            body = _parse_json(path, lineno, raw)
-            stated = body.pop("checksum", None)
-            if stated != _checksum(body):
-                raise MemoryIntegrityError(
-                    f"{path}:{lineno}: checksum mismatch in entry record"
-                )
-            graph = from_text(body["graph"])
-            entry = MemoryEntry(
-                f=Fingerprint(body["fingerprint"]),
-                e=Embedding(np.asarray(body["embedding"], dtype=np.float64)),
-                graph=graph,
-                meta=(body["timestamp_ms"], body["alert_id"]),
-                transcript=Transcript.from_dict(body["transcript"]),
-            )
-            mem.store(entry)
-        mem.replacements = 0
+        """Read a persisted memory; raises its first problem, naming
+        ``path:line``, as a ``MemoryIntegrityError``."""
+        mem, problems = _read(path)
+        if problems:
+            raise MemoryIntegrityError(problems[0])
         return mem
 
 
-def load_raw_records(path) -> list[tuple[int, dict]]:
-    """Entry record bodies without invariant enforcement, for auditing.
-
-    Checksums are not verified here; the point of a verify pass is to
-    report inconsistencies in whatever the file claims, not to refuse to
-    read it.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise MemoryIntegrityError(f"memory file not found: {path}")
-    if not lines:
-        raise MemoryIntegrityError(f"{path}: empty memory file")
-    manifest = _parse_json(path, 1, lines[0])
-    if manifest.get("format") != FORMAT_NAME:
-        raise MemoryIntegrityError(f"{path}:1: not a memory file")
-    return [
-        (lineno, _parse_json(path, lineno, raw))
-        for lineno, raw in enumerate(lines[1:], start=2)
-        if raw.strip()
-    ]
+def verify(path) -> list[str]:
+    """Every problem that makes ``Memory.load`` refuse the file, in file
+    order; empty when the file loads."""
+    return _read(path)[1]
 
 
 def remap(entry: MemoryEntry, g_new: CausalGraph):
@@ -397,12 +337,90 @@ def _checksum(body: dict) -> str:
     return hashlib.sha256(_canonical_json(body).encode()).hexdigest()
 
 
-def _parse_json(path, lineno: int, raw: str) -> dict:
+def _check_entry(entry: MemoryEntry, dim: int) -> tuple[Embedding, list[str]]:
+    """Re-derive the entry's keys at ``dim`` in one WL pass; return the
+    embedding and every way the entry disagrees with its graph. A stale
+    step may name a node the graph lacks: ``remap`` keeps its old node."""
+    f, e = graph_key(entry.graph, dim)
+    problems = []
+    if entry.f.digest != f.digest:
+        problems.append(
+            f"fingerprint {entry.f.digest[:12]} does not match its graph "
+            f"(expected {f.digest[:12]})"
+        )
+    if entry.e.vector.shape != (dim,):
+        problems.append(f"embedding has shape {entry.e.vector.shape}, memory dim is {dim}")
+    elif not np.allclose(entry.e.vector, e.vector, atol=1e-12):
+        problems.append("embedding does not match its graph")
+    for step in getattr(entry.transcript, "steps", []):
+        if not step.stale and step.node not in entry.graph.nodes:
+            problems.append(
+                f"transcript step {step.index} references node {step.node!r} "
+                "absent from the stored graph"
+            )
+    return e, problems
+
+
+def _read(path) -> tuple[Memory | None, list[str]]:
+    """The memory a file holds and every problem in it, each as
+    ``path:line: message``, in file order. A bad manifest ends the read;
+    every record is parsed, then ``store``d."""
+    from .reasoner import Transcript  # local import to avoid a module cycle
+
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MemoryIntegrityError(f"{path}:{lineno}: corrupt record: {exc}")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        raise MemoryIntegrityError(f"memory file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise MemoryIntegrityError(f"{path}: not a UTF-8 memory file: {exc}")
+    try:
+        mem, declared = _read_manifest(path, lines)
+    except MemoryIntegrityError as exc:
+        return None, [str(exc)]
+    problems = []
+    if len(lines) - 1 != declared:
+        problems.append(
+            f"{path}:1: truncated, manifest declares {declared} entries "
+            f"but found {len(lines) - 1}"
+        )
+    for lineno, raw in enumerate(lines[1:], start=2):
+        try:
+            body = json.loads(raw)
+            if body.pop("checksum", None) != _checksum(body):
+                problems.append(f"{path}:{lineno}: checksum mismatch in entry record")
+                continue
+            mem.store(MemoryEntry(
+                f=Fingerprint(body["fingerprint"]),
+                e=Embedding(np.asarray(body["embedding"], dtype=np.float64)),
+                graph=from_text(body["graph"]),
+                meta=(body["timestamp_ms"], body["alert_id"]),
+                transcript=Transcript.from_dict(body["transcript"]),
+            ))
+        except EngineError as exc:
+            problems.append(f"{path}:{lineno}: {exc}")
+        except KeyError as exc:
+            problems.append(f"{path}:{lineno}: record lacks key {exc}")
+        except (AttributeError, TypeError, ValueError) as exc:
+            problems.append(f"{path}:{lineno}: corrupt record: {exc}")
+    mem.replacements = 0
+    return mem, problems
 
 
-def _transcript_to_dict(transcript) -> dict:
-    return transcript.as_dict()
+def _read_manifest(path, lines: list[str]) -> tuple[Memory, object]:
+    """An empty memory of the manifest's dim and alpha, and the entry
+    count it declares; raises ``MemoryIntegrityError`` naming line 1."""
+    if not lines:
+        raise MemoryIntegrityError(f"{path}:1: empty memory file")
+    try:
+        manifest = json.loads(lines[0])
+    except ValueError as exc:
+        raise MemoryIntegrityError(f"{path}:1: corrupt manifest: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
+        raise MemoryIntegrityError(f"{path}:1: not a memory file")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise MemoryIntegrityError(f"{path}:1: unsupported version {manifest.get('version')}")
+    dim, alpha = manifest.get("dim"), manifest.get("alpha")
+    if not isinstance(dim, int) or dim < 8 or not isinstance(alpha, (int, float)):
+        raise MemoryIntegrityError(f"{path}:1: bad dim {dim!r} or alpha {alpha!r}")
+    return Memory(dim=dim, alpha=alpha), manifest.get("entries", 0)

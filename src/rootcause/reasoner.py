@@ -424,19 +424,22 @@ def _visit(
         state.truncated = True
         return set()
     state.visited.add(span.span_id)
-    node = f"{span.cmdb_id}|{span.operation}"
-
     instruction = policy.generate_instruction(span, context)
+
+    def record(verdict, calls=(), logs=(), metrics=(), errored=False):
+        state.steps.append(Step(
+            index=state.allocate(), stage=stage, node=f"{span.cmdb_id}|{span.operation}",
+            span=span.span_id, pod=span.cmdb_id, op=span.operation,
+            span_status=span.status_code, span_start=span.start_time,
+            instruction=instruction, trace_evidence=tuple(calls),
+            log_evidence=tuple(logs), metric_evidence=tuple(metrics),
+            verdict=verdict, errored=errored,
+        ))
+
     try:
         calls = runtime.trace(span.span_id)
     except Exception:  # noqa: BLE001 - agent failures must not kill analysis
-        state.steps.append(Step(
-            index=state.allocate(), stage=stage, node=node, span=span.span_id,
-            pod=span.cmdb_id, op=span.operation, span_status=span.status_code,
-            span_start=span.start_time, instruction=instruction,
-            trace_evidence=(), log_evidence=(), metric_evidence=(),
-            verdict="Cleared", errored=True,
-        ))
+        record("Cleared", errored=True)
         return set()
 
     view = sibling_view if sibling_view is not None else calls
@@ -458,37 +461,17 @@ def _visit(
             confirmed = policy.confirm(span, logs, metrics)
 
     if errored:
-        state.steps.append(Step(
-            index=state.allocate(), stage=stage, node=node, span=span.span_id,
-            pod=span.cmdb_id, op=span.operation, span_status=span.status_code,
-            span_start=span.start_time, instruction=instruction,
-            trace_evidence=tuple(calls), log_evidence=(), metric_evidence=(),
-            verdict="Cleared", errored=True,
-        ))
+        record("Cleared", calls, errored=True)
         return set()
 
     if confirmed:
-        state.steps.append(Step(
-            index=state.allocate(), stage=stage, node=node, span=span.span_id,
-            pod=span.cmdb_id, op=span.operation, span_status=span.status_code,
-            span_start=span.start_time, instruction=instruction,
-            trace_evidence=tuple(calls), log_evidence=tuple(logs),
-            metric_evidence=tuple(metrics), verdict="ConfirmedRootCause",
-        ))
+        record("ConfirmedRootCause", calls, logs, metrics)
         return {span.span_id}
 
     kids = policy.suspicious_children(span, calls)
     by_span = {c.child_span: c for c in calls}
     kids = [c for c in kids if c.child_span in by_span]  # enforce subset contract
-
-    verdict = "Suspect" if suspected else ("Expanded" if kids else "Cleared")
-    state.steps.append(Step(
-        index=state.allocate(), stage=stage, node=node, span=span.span_id,
-        pod=span.cmdb_id, op=span.operation, span_status=span.status_code,
-        span_start=span.start_time, instruction=instruction,
-        trace_evidence=tuple(calls), log_evidence=tuple(logs),
-        metric_evidence=tuple(metrics), verdict=verdict,
-    ))
+    record("Suspect" if suspected else ("Expanded" if kids else "Cleared"), calls, logs, metrics)
 
     candidates = {span.span_id} if suspected else set()
     for call in kids:
@@ -656,7 +639,8 @@ def analyze_alert(
     divergent nodes; fresh runs the full three-stage pipeline. The
     resulting transcript is stored back under the new graph's fingerprint
     in every case. A memory write failure flags the result unsaved rather
-    than discarding the computed ranking.
+    than discarding the computed ranking. ``mem=None`` turns memory off:
+    every alert starts fresh and nothing is stored.
     """
     t_begin = timer()
     g = extract(alert, store, topology, config.window_ms)
@@ -665,13 +649,11 @@ def analyze_alert(
     weights = _weights(config)
     budget = Budget(max_depth=config.max_depth, max_steps=config.max_steps)
 
-    # Both keys come from one WL pass; the memory scores with the same
-    # embedding it will store, unless its dim differs from the config's.
-    f, e = graph_key(g, config.embedding_dim)
-    memory_active = mem is not None and config.memory_enabled
-    if memory_active:
-        query = e if mem.dim == config.embedding_dim else None
-        decision = mem.decide(g, config.tau_skip, config.tau_partial, config.delta, query)
+    # Both keys come from one WL pass, at the memory's dim when there is
+    # one: the memory scores with the same embedding it will store.
+    f, e = graph_key(g, mem.dim if mem is not None else config.embedding_dim)
+    if mem is not None:
+        decision = mem.decide(g, config.tau_skip, config.tau_partial, config.delta, e)
     else:
         decision = Decision(kind="Fresh", matched=None, similarity=0.0)
 
@@ -719,7 +701,7 @@ def analyze_alert(
         transcript=transcript,
     )
     unsaved = False
-    if memory_active:
+    if mem is not None:
         try:
             mem.store(entry)
         except Exception:  # noqa: BLE001 - the ranking is already computed

@@ -228,8 +228,7 @@ def test_acceptance_05_resume_precision():
     }
     assert resumed.decision.divergent_nodes == expected_nodes
 
-    fresh_cfg = Config(**{**cfg.__dict__, "memory_enabled": False})
-    fresh = analyze_alert(jittered_alert, store, dup.topology, None, policy, fresh_cfg)
+    fresh = analyze_alert(jittered_alert, store, dup.topology, None, policy, cfg)
     assert resumed.counters.policy_calls < fresh.counters.policy_calls
     elapsed = time.perf_counter() - started
     assert elapsed < 10
@@ -324,9 +323,8 @@ def test_acceptance_08_efficiency_from_reuse():
     report_on = analyze_window(windows[0], store, dup.topology, mem, policy, cfg)
     wall_on = time.perf_counter() - t_on
 
-    off_cfg = Config(**{**cfg.__dict__, "memory_enabled": False})
     t_off = time.perf_counter()
-    report_off = analyze_window(windows[0], store, dup.topology, None, policy, off_cfg)
+    report_off = analyze_window(windows[0], store, dup.topology, None, policy, cfg)
     wall_off = time.perf_counter() - t_off
 
     assert not report_on.failures and not report_off.failures

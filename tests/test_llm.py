@@ -1,12 +1,16 @@
 import json
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from rootcause.agents import ChildCall
 from rootcause.config import Config, LlmConfig
 from rootcause.errors import ConfigError, ReplayMissError
 from rootcause.llm import (
+    HttpTransport,
     LlmPolicy,
     RecordingTransport,
     ReplayTransport,
@@ -14,7 +18,7 @@ from rootcause.llm import (
     request_digest,
 )
 from rootcause.memory import Memory
-from rootcause.reasoner import analyze_alert, export_transcript
+from rootcause.reasoner import DeterministicPolicy, analyze_alert, export_transcript
 
 from .conftest import T0, make_span
 
@@ -224,3 +228,44 @@ def test_boolean_verdict_is_taken_as_is(decision, expected):
     assert policy.confirm(errored, [], []) is expected
     assert transport.requests == 2
     assert policy.events.repairs == 0 and policy.events.fallbacks == 0
+
+
+@pytest.mark.parametrize("op, decision", [
+    ("generate_instruction", "true"),
+    ("generate_instruction", '["inspect"]'),
+    ("suspicious_children", '"c1"'),
+    ("suspicious_children", "true"),
+])
+def test_mistyped_decision_is_repaired_then_falls_back(op, decision):
+    transport = CannedTransport(f'{{"decision": {decision}, "rationale": "r"}}')
+    policy = LlmPolicy(LlmConfig(), transport=transport)
+    span = make_span(span_id="s1", status=0)
+    args = {
+        "generate_instruction": (span, "entry span"),
+        "suspicious_children": (span, [ChildCall(T0, "c1", "svc", "op", 10, 13)]),
+    }[op]
+    assert getattr(policy, op)(*args) == getattr(DeterministicPolicy(), op)(*args)
+    assert transport.requests == 2  # one request and one repair
+    assert policy.events.repairs == 1
+    assert policy.events.fallbacks == 1
+
+
+@pytest.mark.parametrize("failure, attempts", [
+    (400, 1), (422, 1), (408, 3), (429, 3), (503, 3), ("unreachable", 3),
+])
+def test_http_transport_retries_only_transient_failures(monkeypatch, failure, attempts):
+    monkeypatch.setenv("ROOTCAUSE_API_KEY", "test-key")
+    sent = []
+
+    def failing_urlopen(req, timeout):
+        sent.append(req)
+        if failure == "unreachable":
+            raise urllib.error.URLError("connection refused")
+        raise urllib.error.HTTPError(req.full_url, failure, "refused", {}, None)
+
+    monkeypatch.setattr(urllib.request, "urlopen", failing_urlopen)
+    config = LlmConfig(endpoint="http://127.0.0.1:9/chat", model="m", max_retries=2)
+    policy = LlmPolicy(config, transport=HttpTransport(config))
+    assert policy.suspect(make_span(span_id="s1", status=13), []) is True  # the fallback
+    assert len(sent) == attempts
+    assert policy.events.fallbacks == 1 and policy.events.repairs == 0

@@ -1,8 +1,11 @@
+import json
 import random
+import re
 
 import pytest
 
-from rootcause.errors import MemoryIntegrityError, MemoryValidationError
+from rootcause.cli import main
+from rootcause.errors import EngineError, MemoryIntegrityError, MemoryValidationError
 from rootcause.graph import (
     CausalGraph,
     EdgeAttributes,
@@ -13,7 +16,7 @@ from rootcause.graph import (
     node_id_for,
     similarity,
 )
-from rootcause.memory import Decision, Memory, MemoryEntry, remap
+from rootcause.memory import Decision, Memory, MemoryEntry, _checksum, remap
 from rootcause.reasoner import Step, Transcript
 
 from .conftest import T0
@@ -124,6 +127,26 @@ def test_store_rejects_dangling_transcript_node():
     entry = make_entry(g, steps=bad_steps)
     with pytest.raises(MemoryValidationError, match="absent"):
         mem.store(entry)
+
+
+def test_store_accepts_remapped_stale_steps_and_the_file_verifies(tmp_path, capsys):
+    old = build_graph(["a-0", "b-0", "c-0"], alert_id="old")
+    new = build_graph(["a-0", "c-0"], alert_id="new")
+    transcript = remap(make_entry(old), new)
+    gone = node_id_for("b-0", "b-0/op")
+    assert [s.node for s in transcript.steps if s.stale] == [gone]  # remap keeps the old id
+    entry = make_entry(new, steps=transcript.steps)
+
+    mem = Memory(dim=DIM)
+    mem.store(entry)
+    assert mem.by_alert("new") is entry
+    assert mem.retrieve(new, 1)[0][0] is entry
+
+    path = tmp_path / "mem.jsonl"
+    mem.persist(path)
+    assert Memory.load(path).by_alert("new").transcript.steps == transcript.steps
+    assert main(["--memory", str(path), "memory", "verify"]) == 0
+    assert "verified" in capsys.readouterr().out
 
 
 # -- retrieve --------------------------------------------------------------------
@@ -395,3 +418,67 @@ def test_load_corrupted_record_names_line(tmp_path):
 def test_decision_kind_validated():
     with pytest.raises(MemoryValidationError):
         Decision(kind="Maybe", matched=None, similarity=0.5)
+
+
+# -- one definition: a corrupt file fails load and verify at the same line -------------
+
+
+def _reseal(edit):
+    """Edit line 3's record and recompute its checksum, so only the edit is wrong."""
+    def corrupt(lines):
+        body = json.loads(lines[2])
+        del body["checksum"]
+        edit(body)
+        body["checksum"] = _checksum(body)
+        lines[2] = json.dumps(body)
+    return corrupt
+
+
+def _tamper(lines):
+    lines[2] = lines[2].replace('"alert_id":"a1"', '"alert_id":"forged"')
+
+
+def _version_99(lines):
+    manifest = json.loads(lines[0])
+    manifest["version"] = 99
+    lines[0] = json.dumps(manifest)
+
+
+def _truncate(lines):
+    del lines[-1]
+
+
+def _unknown_verdict(body):
+    body["transcript"]["steps"][0]["verdict"] = "Maybe"
+
+
+CORRUPTIONS = {  # name -> (edit of the file's lines, line the problem is on)
+    "checksum mismatch": (_tamper, 3),
+    "version 99": (_version_99, 1),
+    "truncated": (_truncate, 1),
+    "missing key": (_reseal(lambda body: body.pop("timestamp_ms")), 3),
+    "embedding length": (_reseal(lambda body: body["embedding"].append(0.0)), 3),
+    "embedding norm": (_reseal(lambda body: body.update(
+        embedding=[2 * x for x in body["embedding"]])), 3),
+    "unknown verdict": (_reseal(_unknown_verdict), 3),
+    "fingerprint": (_reseal(lambda body: body.update(fingerprint="f" * 64)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_file_fails_load_and_verify_at_its_line(tmp_path, capsys, name):
+    corrupt, line = CORRUPTIONS[name]
+    mem = Memory(dim=DIM)
+    for i in range(3):
+        mem.store(make_entry(build_graph([f"p{i}-0", f"q{i}-0"], alert_id=f"a{i}")))
+    path = tmp_path / "mem.jsonl"
+    mem.persist(path)
+    lines = path.read_text().splitlines()
+    corrupt(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+    where = f"{path}:{line}:"
+    with pytest.raises(EngineError, match=re.escape(where)):
+        Memory.load(path)
+    assert main(["--memory", str(path), "memory", "verify"]) == 1
+    assert f"VIOLATION {where}" in capsys.readouterr().out

@@ -377,14 +377,25 @@ def test_disjoint_alert_is_fresh(walkthrough):
 
 def test_memory_disabled_forces_fresh(walkthrough):
     store, alert = walkthrough
-    cfg = fast_config(memory_enabled=False)
-    mem = Memory(dim=cfg.embedding_dim)
+    cfg = fast_config()
     policy = deterministic_policy(cfg)
-    a1 = analyze_alert(alert, store, store.topology, mem, policy, cfg)
-    a2 = analyze_alert(alert, store, store.topology, mem, policy, cfg)
+    a1 = analyze_alert(alert, store, store.topology, None, policy, cfg)
+    a2 = analyze_alert(alert, store, store.topology, None, policy, cfg)
     assert a1.decision.kind == a2.decision.kind == "Fresh"
-    assert len(mem) == 0
     assert a2.counters.policy_calls == a1.counters.policy_calls > 0
+
+
+def test_memory_of_another_dim_stores_and_reuses(walkthrough):
+    store, alert = walkthrough
+    cfg = fast_config()
+    mem = Memory(dim=64, alpha=cfg.alpha)
+    assert mem.dim != cfg.embedding_dim
+    policy = deterministic_policy(cfg)
+    runs = [analyze_alert(alert, store, store.topology, mem, policy, cfg) for _ in range(3)]
+    assert [a.decision.kind for a in runs] == ["Fresh", "Reuse", "Reuse"]
+    assert not any(a.unsaved for a in runs)
+    assert len(mem) == 1 and mem.replacements == 2
+    assert runs[-1].counters.policy_calls == 0
 
 
 # -- windows ---------------------------------------------------------------------------
@@ -508,7 +519,7 @@ def test_memory_store_failure_flags_unsaved(walkthrough):
 def test_window_scoring_permutation_invariant():
     # with memory disabled the aggregate is a pure fold over per-alert
     # rankings, so alert order cannot change window-level scores
-    cfg = fast_config(memory_enabled=False)
+    cfg = fast_config()
     from rootcause.scenario import ScenarioSpec, generate
 
     sc = generate(ScenarioSpec(fault_kind="ErrorStatus", seed=12, victims=2))
