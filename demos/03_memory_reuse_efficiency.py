@@ -13,7 +13,7 @@ import time
 
 from rootcause import Config, windows_from_alerts
 from rootcause.memory import Memory
-from rootcause.reasoner import LatencyShimPolicy, analyze_window, deterministic_policy
+from rootcause.reasoner import CountingPolicy, analyze_window, deterministic_policy
 from rootcause.scenario import ScenarioSpec, duplicate_alerts, generate
 
 cfg = Config(baseline_minutes=5.0)
@@ -26,7 +26,7 @@ window = windows_from_alerts(store.alerts, cfg.window_ms)[0]
 print(f"window holds {len(window.alerts)} alerts "
       f"({len(scenario.alerts)} distinct, rest near-duplicates)")
 
-policy = LatencyShimPolicy(deterministic_policy(cfg), latency_ms=50.0)
+policy = CountingPolicy(deterministic_policy(cfg), latency_ms=50.0)
 
 print("\n=== memory ON ===")
 t0 = time.perf_counter()

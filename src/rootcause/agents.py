@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
+from .graph import SIGMA_FLOOR
 from .telemetry import LogEntry, TelemetryStore, Topology, children_of
 
 DEFAULT_LOG_PATTERNS = ("timeout", "exception", "refused", "5xx")
@@ -204,7 +205,7 @@ def metric_agent(
     component: str,
     n: float,
     baseline_ms: int = 15 * 60_000,
-    sigma_floor: float = 1e-6,
+    sigma_floor: float = SIGMA_FLOOR,
     diagnostics: list | None = None,
     _baseline_cache: dict | None = None,
 ) -> list[MetricAnomaly]:

@@ -55,7 +55,6 @@ class Config:
     llm: LlmConfig = field(default_factory=LlmConfig)
     memory_path: str | None = None
     baseline_minutes: float = 15.0
-    sigma_floor: float = 1e-6
     timeout_factor: float = 3.0
     log_patterns: tuple[str, ...] = ("timeout", "exception", "refused", "5xx")
     w_metric: float = 1.0

@@ -92,7 +92,7 @@ class Embedding:
 
     def __post_init__(self):
         norm = float(np.linalg.norm(self.vector))
-        if norm > 0 and abs(norm - 1.0) > 1e-9:
+        if not (norm == 0.0 or abs(norm - 1.0) <= 1e-9):  # refuses NaN and inf too
             raise DataError(f"embedding norm must be 0 or 1, got {norm}")
 
 
@@ -355,12 +355,8 @@ def attribute_similarity(
     return total / universe
 
 
-def structural_similarity(g_new: CausalGraph, g_old: CausalGraph, dim: int = DEFAULT_DIM) -> float:
-    """Embedding cosine mapped from [-1, 1] to [0, 1]."""
-    return _unit(cosine(embed(g_new, dim).vector, embed(g_old, dim).vector))
-
-
 def _unit(cos: float) -> float:
+    """Embedding cosine mapped from [-1, 1] to [0, 1]."""
     return (cos + 1.0) / 2.0
 
 

@@ -11,10 +11,16 @@ exhausted or budgets run out.
 Premature termination is countered with three stages. Initial reasoning
 runs the walk with log and metric agents withheld, so nothing can confirm
 and the result is a coarse frontier of suspects. Critical reflection
-re-enters the walk from every frontier suspect with the full agent set,
-forcing deeper inspection. Final review hands the union of both
-transcripts to the consolidator and performs no policy or agent calls at
-all, which keeps late-visited spans from dominating the ranking.
+re-enters the walk from seed spans with the full agent set, forcing deeper
+inspection. Final review hands the whole transcript to the consolidator
+and performs no policy or agent calls at all, which keeps late-visited
+spans from dominating the ranking.
+
+Every alert runs one pipeline; the memory decision picks only its base
+transcript and its reflection seeds. Fresh: initial reasoning, seeded by
+every suspect it leaves. Resume: the matched transcript remapped onto the
+new graph, seeded by the spans of the divergent nodes. Reuse: the
+remapped transcript with no seeds, so reflection is skipped.
 
 Policies see only the evidence passed to them; that purity rule is what
 makes a remote-model policy and the deterministic reference policy
@@ -236,16 +242,22 @@ class DeterministicPolicy(PolicyContract):
 
 
 class CountingPolicy(PolicyContract):
-    """Delegating wrapper that counts every predicate invocation."""
+    """Delegating wrapper that counts every predicate invocation.
 
-    def __init__(self, inner: PolicyContract):
+    A positive ``latency_ms`` sleeps that long before each call, which
+    simulates a remote policy."""
+
+    def __init__(self, inner: PolicyContract, latency_ms: float = 0.0):
         self.inner = inner
+        self.latency_s = latency_ms / 1000.0
         self.calls = 0
         self.by_op: dict[str, int] = {}
 
     def _tick(self, op: str) -> None:
         self.calls += 1
         self.by_op[op] = self.by_op.get(op, 0) + 1
+        if self.latency_s > 0:
+            time.sleep(self.latency_s)
 
     def generate_instruction(self, span, context):
         self._tick("generate_instruction")
@@ -261,33 +273,6 @@ class CountingPolicy(PolicyContract):
 
     def suspicious_children(self, span, trace_evidence):
         self._tick("suspicious_children")
-        return self.inner.suspicious_children(span, trace_evidence)
-
-
-class LatencyShimPolicy(PolicyContract):
-    """Adds a fixed sleep per predicate call, simulating a remote policy."""
-
-    def __init__(self, inner: PolicyContract, latency_ms: float):
-        self.inner = inner
-        self.latency_s = latency_ms / 1000.0
-
-    def _nap(self):
-        time.sleep(self.latency_s)
-
-    def generate_instruction(self, span, context):
-        self._nap()
-        return self.inner.generate_instruction(span, context)
-
-    def suspect(self, span, trace_evidence):
-        self._nap()
-        return self.inner.suspect(span, trace_evidence)
-
-    def confirm(self, span, log_evidence, metric_evidence):
-        self._nap()
-        return self.inner.confirm(span, log_evidence, metric_evidence)
-
-    def suspicious_children(self, span, trace_evidence):
-        self._nap()
         return self.inner.suspicious_children(span, trace_evidence)
 
 
@@ -318,32 +303,15 @@ class AgentRuntime:
         topology: Topology,
         t0: int,
         config: Config,
-        log_enabled: bool = True,
-        metric_enabled: bool = True,
     ):
         self.store = store
         self.topology = topology
         self.t0 = t0
         self.config = config
-        self.log_enabled = log_enabled
-        self.metric_enabled = metric_enabled
         self.delta = config.window_ms // 2
         self.calls = {"trace": 0, "log": 0, "metric": 0}
         self.diagnostics: list[dict] = []
         self._baseline_cache: dict = {}
-
-    @property
-    def total_calls(self) -> int:
-        return sum(self.calls.values())
-
-    def with_agents(self, log_enabled: bool, metric_enabled: bool) -> "AgentRuntime":
-        clone = AgentRuntime(
-            self.store, self.topology, self.t0, self.config, log_enabled, metric_enabled
-        )
-        clone.calls = self.calls  # shared counters across stages of one alert
-        clone.diagnostics = self.diagnostics
-        clone._baseline_cache = self._baseline_cache
-        return clone
 
     def trace(self, span_id: str) -> list[ChildCall]:
         self.calls["trace"] += 1
@@ -362,7 +330,6 @@ class AgentRuntime:
             self.store, self.topology, self.t0, self.delta, component,
             n=self.config.n_sigma,
             baseline_ms=int(self.config.baseline_minutes * 60_000),
-            sigma_floor=self.config.sigma_floor,
             diagnostics=self.diagnostics,
             _baseline_cache=self._baseline_cache,
         )
@@ -374,6 +341,7 @@ class RunState:
     visited: set[str] = field(default_factory=set)
     truncated: bool = False
     next_index: int = 0
+    cross_modal: bool = True  # whether suspects get log and metric evidence
 
     def allocate(self) -> int:
         i = self.next_index
@@ -451,9 +419,8 @@ def _visit(
     errored = False
     if suspected:
         try:
-            if runtime.log_enabled:
+            if state.cross_modal:
                 logs = runtime.logs(span.cmdb_id)
-            if runtime.metric_enabled:
                 metrics = runtime.metrics(span.cmdb_id)
         except Exception:  # noqa: BLE001
             errored = True
@@ -485,7 +452,7 @@ def _visit(
     return candidates
 
 
-# -- the three stages ---------------------------------------------------------------
+# -- initial reasoning and critical reflection ---------------------------------------
 
 
 def initial_reasoning(
@@ -498,9 +465,8 @@ def initial_reasoning(
     """Stage one: broad trace-only exploration. Metric and log agents are
     withheld, so the confirm predicate sees empty evidence and suspects
     accumulate into a frontier instead of terminating the walk."""
-    bare = runtime.with_agents(log_enabled=False, metric_enabled=False)
-    state = RunState()
-    recursive_rcl(entry, policy, bare, budget, state, stage="Initial")
+    state = RunState(cross_modal=False)
+    recursive_rcl(entry, policy, runtime, budget, state, stage="Initial")
     return Transcript(
         alert_id=alert_id,
         steps=state.steps,
@@ -515,7 +481,6 @@ def critical_reflection(
     runtime: AgentRuntime,
     budget: Budget,
     seed_spans: list[str] | None = None,
-    start_index: int | None = None,
 ) -> Transcript:
     """Stage two: re-enter the walk from every still-suspect span (or the
     given seeds) with the full agent set. One shared visited set keeps
@@ -529,8 +494,7 @@ def critical_reflection(
         for call in step.trace_evidence:
             sibling_views[call.child_span] = list(step.trace_evidence)
 
-    state = RunState(next_index=start_index if start_index is not None
-                     else (gamma0.steps[-1].index + 1 if gamma0.steps else 0))
+    state = RunState(next_index=gamma0.steps[-1].index + 1 if gamma0.steps else 0)
     for span_id in seed_spans:
         if span_id in state.visited:
             continue
@@ -553,17 +517,6 @@ def critical_reflection(
         stage_markers={"initial": 0, "reflection": len(state.steps),
                        "truncated_reflection": int(state.truncated)},
     )
-
-
-def final_review(
-    gamma0: Transcript,
-    gamma1: Transcript,
-    topology: Topology,
-    weights: ScoreWeights,
-) -> RootCauseRanking:
-    """Stage three: consolidate the union of both transcripts. No policy
-    or agent call happens here, by construction."""
-    return consolidate(list(gamma0.steps) + list(gamma1.steps), topology, weights)
 
 
 # -- per-alert orchestration -----------------------------------------------------------
@@ -632,21 +585,22 @@ def analyze_alert(
     config: Config,
     timer=time.perf_counter,
 ) -> AlertAnalysis:
-    """Analyze one alert, threading the memory decision through the stages.
+    """Analyze one alert on one pipeline for every memory decision.
 
-    Reuse replays the stored transcript against the new graph with zero
-    policy invocations; resume re-enters reflection only at the spans of
-    divergent nodes; fresh runs the full three-stage pipeline. The
-    resulting transcript is stored back under the new graph's fingerprint
-    in every case. A memory write failure flags the result unsaved rather
-    than discarding the computed ranking. ``mem=None`` turns memory off:
-    every alert starts fresh and nothing is stored.
+    The decision picks only the base transcript and the reflection seeds.
+    Fresh starts from initial reasoning and reflects over all of its
+    suspects; Resume and Reuse start from the stored transcript remapped
+    onto the new graph and reflect only from the spans of divergent nodes,
+    of which Reuse has none, so it makes no policy call. The ranking
+    consolidates the resulting transcript, which is stored back under the
+    new graph's fingerprint. A memory write failure flags the result
+    unsaved rather than discarding the computed ranking. ``mem=None``
+    turns memory off: every alert starts fresh and nothing is stored.
     """
     t_begin = timer()
     g = extract(alert, store, topology, config.window_ms)
     counting = CountingPolicy(policy)
     runtime = AgentRuntime(store, topology, alert.timestamp, config)
-    weights = _weights(config)
     budget = Budget(max_depth=config.max_depth, max_steps=config.max_steps)
 
     # Both keys come from one WL pass, at the memory's dim when there is
@@ -657,41 +611,26 @@ def analyze_alert(
     else:
         decision = Decision(kind="Fresh", matched=None, similarity=0.0)
 
-    if decision.kind == "Reuse":
-        transcript = remap(decision.matched, g)
-        ranking = consolidate(transcript.steps, topology, weights)
-    elif decision.kind == "Resume":
-        base = remap(decision.matched, g)
-        seeds: list[str] = []
-        for nid in sorted(decision.divergent_nodes):
-            attrs = g.nodes.get(nid)
-            if attrs:
-                seeds.extend(attrs.span_ids)
-        seeds = sorted(set(seeds), key=lambda sid: (store.span(sid).start_time, sid))
-        start = (max((s.index for s in base.steps), default=-1)) + 1
-        gamma1 = critical_reflection(
-            base, counting, runtime, budget, seed_spans=seeds, start_index=start,
-        )
-        transcript = Transcript(
-            alert_id=alert.alert_id,
-            steps=_merge_stages(base.steps, gamma1.steps),
-            stage_markers={
-                "initial": sum(1 for s in base.steps if s.stage == "Initial"),
-                "reflection": sum(1 for s in base.steps if s.stage == "Reflection")
-                + len(gamma1.steps),
-            },
-        )
-        ranking = consolidate(transcript.steps, topology, weights)
-    else:
+    if decision.kind == "Fresh":
         entry_span = store.span(alert.entry_span_id)
-        gamma0 = initial_reasoning(entry_span, counting, runtime, budget, alert.alert_id)
-        gamma1 = critical_reflection(gamma0, counting, runtime, budget)
-        ranking = final_review(gamma0, gamma1, topology, weights)
+        transcript = initial_reasoning(entry_span, counting, runtime, budget, alert.alert_id)
+        seeds = None  # every suspect of the initial walk
+    else:
+        transcript = remap(decision.matched, g)
+        seeds = sorted(
+            {sid for nid in decision.divergent_nodes for sid in g.nodes[nid].span_ids},
+            key=lambda sid: (store.span(sid).start_time, sid),
+        )
+    if seeds is None or seeds:
+        reflection = critical_reflection(transcript, counting, runtime, budget, seeds)
+        steps = transcript.steps + reflection.steps
+        initial = [s.stage for s in steps].count("Initial")
         transcript = Transcript(
             alert_id=alert.alert_id,
-            steps=list(gamma0.steps) + list(gamma1.steps),
-            stage_markers={"initial": len(gamma0.steps), "reflection": len(gamma1.steps)},
+            steps=steps,
+            stage_markers={"initial": initial, "reflection": len(steps) - initial},
         )
+    ranking = consolidate(transcript.steps, topology, _weights(config))
 
     entry = MemoryEntry(
         f=f,
@@ -722,13 +661,6 @@ def analyze_alert(
         wall_ms=(timer() - t_begin) * 1000.0,
         unsaved=unsaved,
     )
-
-
-def _merge_stages(base: list[Step], extra: list[Step]) -> list[Step]:
-    """Keep initial steps first, then all reflection steps, preserving order."""
-    initial = [s for s in base if s.stage == "Initial"]
-    reflection = [s for s in base if s.stage == "Reflection"]
-    return initial + reflection + list(extra)
 
 
 # -- window orchestration ----------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, NotFoundError
@@ -151,7 +151,6 @@ class IngestReport:
     metrics: int = 0
     alerts: int = 0
     topology_entries: int = 0
-    alert_bindings: dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -525,16 +524,14 @@ def _bind_alerts(alerts: list[Alert], spans: list[Span], window_ms: int) -> list
     return bound
 
 
-def ingest(data_dir: str | Path, fmt: str = "csv", window_ms: int = 60_000) -> TelemetryStore:
+def ingest(data_dir: str | Path, window_ms: int = 60_000) -> TelemetryStore:
     """Parse a directory of telemetry CSVs into an indexed store.
 
     An empty directory (header-only or absent optional files) yields an
-    empty store with a zero-count report. Only ``fmt="csv"`` is supported;
-    dataset-specific converters plug in by producing these CSVs or by
-    constructing a :class:`TelemetryStore` directly from records.
+    empty store with a zero-count report. Dataset-specific converters plug
+    in by producing these CSVs or by constructing a :class:`TelemetryStore`
+    directly from records.
     """
-    if fmt != "csv":
-        raise DataError(f"unsupported telemetry format {fmt!r}")
     root = Path(data_dir)
     if not root.is_dir():
         raise DataError(f"telemetry directory not found: {root}")

@@ -22,7 +22,7 @@ def reference_visited(store, topology, policy, entry_span_id, t0, config):
         )
         metrics = metric_agent(
             store, topology, t0, delta, span.cmdb_id,
-            n=config.n_sigma, baseline_ms=baseline_ms, sigma_floor=config.sigma_floor,
+            n=config.n_sigma, baseline_ms=baseline_ms,
         )
         return logs, metrics
 

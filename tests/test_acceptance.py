@@ -26,7 +26,7 @@ from rootcause.graph import (
 from rootcause.memory import Memory
 from rootcause.reasoner import (
     Budget,
-    LatencyShimPolicy,
+    CountingPolicy,
     analyze_alert,
     analyze_window,
     deterministic_policy,
@@ -316,7 +316,7 @@ def test_acceptance_08_efficiency_from_reuse():
     }
     assert len(distinct_prints) >= 3  # the five seeds are not one shape
 
-    policy = LatencyShimPolicy(deterministic_policy(cfg), latency_ms=50.0)
+    policy = CountingPolicy(deterministic_policy(cfg), latency_ms=50.0)
 
     t_on = time.perf_counter()
     mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)

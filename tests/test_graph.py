@@ -10,6 +10,7 @@ from rootcause.errors import DataError, GraphConstructionError, NotFoundError
 from rootcause.graph import (
     CausalGraph,
     EdgeAttributes,
+    Embedding,
     NodeAttributes,
     attribute_similarity,
     divergence,
@@ -329,3 +330,9 @@ def test_divergence_monotone_in_delta():
     ])
     sizes = [len(divergence(new, old, d)) for d in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_embedding_refuses_non_finite_vectors(bad):
+    with pytest.raises(DataError):
+        Embedding(np.full(8, bad))

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from rootcause.agents import ChildCall, MetricAnomaly
+from rootcause import reasoner
+from rootcause.agents import ChildCall, MetricAnomaly, consolidate
 from rootcause.config import Config
 from rootcause.memory import Memory
 from rootcause.reasoner import (
@@ -19,12 +21,12 @@ from rootcause.reasoner import (
     critical_reflection,
     deterministic_policy,
     export_transcript,
-    final_review,
     initial_reasoning,
     recursive_rcl,
     render_transcript,
     replay_transcript,
 )
+from rootcause.scenario import JitterSpec, ScenarioSpec, duplicate_alerts, generate
 from rootcause.telemetry import (
     Alert,
     AlertWindow,
@@ -295,7 +297,7 @@ def test_final_review_makes_no_calls(walkthrough):
     )
     gamma1 = critical_reflection(gamma0, policy, runtime, Budget())
     before = (policy.calls, dict(runtime.calls))
-    ranking = final_review(gamma0, gamma1, store.topology, weights=None or _weights(cfg))
+    ranking = consolidate(gamma0.steps + gamma1.steps, store.topology, _weights(cfg))
     after = (policy.calls, dict(runtime.calls))
     assert before == after
     assert ranking
@@ -321,7 +323,7 @@ def test_final_review_unions_both_stages():
                         {"initial": 1, "reflection": 0})
     gamma1 = Transcript("al", [confirmed_step(1, "pod-b", "Reflection")],
                         {"initial": 0, "reflection": 1})
-    ranking = final_review(gamma0, gamma1, topo, _weights(fast_config()))
+    ranking = consolidate(gamma0.steps + gamma1.steps, topo, _weights(fast_config()))
     got = {(c.level, c.root_cause) for c in ranking}
     assert ("pod", "pod-a") in got and ("pod", "pod-b") in got
 
@@ -330,7 +332,7 @@ def test_final_review_empty_transcripts():
     topo = make_topology({"pod-a": ("svc-a", "n1")})
     gamma0 = Transcript("al", [], {"initial": 0, "reflection": 0})
     gamma1 = Transcript("al", [], {"initial": 0, "reflection": 0})
-    assert final_review(gamma0, gamma1, topo, _weights(fast_config())) == []
+    assert consolidate(gamma0.steps + gamma1.steps, topo, _weights(fast_config())) == []
 
 
 def test_walkthrough_pipeline_ranks_the_service_first(walkthrough):
@@ -563,3 +565,62 @@ def test_render_transcript_separates_flags_with_comma_space(walkthrough):
     flagged = [ln for ln in lines if "[stale" in ln]
     assert len(flagged) == 1
     assert flagged[0].endswith(" [stale, errored]")
+
+
+# Output digests of the three bands on acceptance 05's scenario: any change
+# to a ranking, counter, transcript or stored byte of a band shows here.
+BAND_DIGESTS = {
+    "Fresh": ("ba64ff0471a2f497ba8570bc5089f3310b235c83949e1420350db4e8000d9209",
+              "1da59cf00437fea9905b3b69bfd119acdb46c6c8bb10197b7ebed6f91a7acf02"),
+    "Resume": ("7939a2d11df06794131987f62beb3f22610ba51b4c2615b4806c6b82e0259e74",
+               "b573136851673e65c8fed2529b46d927160c51a872f2f78b73a4515b5fda5396"),
+    "Reuse": ("2ebcf47168358eb146a5cbe9ecc163a078b114ef4481b35384a5805900835141",
+              "b573136851673e65c8fed2529b46d927160c51a872f2f78b73a4515b5fda5396"),
+}
+PERSISTED_DIGEST = "6b23335a6672118ea6079edd609a52a85e4f196088a658e9f74a286c1a6a2852"
+
+
+def test_three_bands_keep_their_output_bytes_and_work(tmp_path, monkeypatch):
+    calls = {"reflection": 0, "ranking": 0}
+
+    def counted(fn, kind):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reasoner, "critical_reflection",
+                        counted(reasoner.critical_reflection, "reflection"))
+    monkeypatch.setattr(reasoner, "consolidate", counted(reasoner.consolidate, "ranking"))
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    cfg = Config(baseline_minutes=5.0)
+    scenario = generate(ScenarioSpec(fault_kind="MetricSpike", seed=77, victims=1))
+    dup = duplicate_alerts(scenario, copies=1, jitter=JitterSpec())
+    store = dup.to_store()
+    base_alert = scenario.alerts[0]
+    jittered_alert = next(a for a in store.alerts if a.timestamp != base_alert.timestamp)
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    got, work = {}, {}
+    # The jittered graph shares the base graph's fingerprint, so storing it
+    # replaces the base entry: the jittered alert, seen again, is the Reuse.
+    for alert in (base_alert, jittered_alert, jittered_alert):
+        before = dict(calls)
+        a = analyze_alert(alert, store, dup.topology, mem, deterministic_policy(cfg), cfg)
+        work[a.decision.kind] = {k: calls[k] - before[k] for k in calls}
+        got[a.decision.kind] = (
+            sha(json.dumps(a.as_dict(include_timing=False), sort_keys=True)),
+            sha(export_transcript(a, dup.topology)),
+        )
+    mem.persist(tmp_path / "memory.jsonl")
+    assert list(got) == ["Fresh", "Resume", "Reuse"]
+    assert got == BAND_DIGESTS
+    # A Reuse costs remap and one ranking: reflection runs only with seeds.
+    assert work == {
+        "Fresh": {"reflection": 1, "ranking": 1},
+        "Resume": {"reflection": 1, "ranking": 1},
+        "Reuse": {"reflection": 0, "ranking": 1},
+    }
+    assert sha((tmp_path / "memory.jsonl").read_text(encoding="utf-8")) == PERSISTED_DIGEST
