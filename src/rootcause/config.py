@@ -74,6 +74,9 @@ class Config:
             raise ConfigError("n_sigma must be > 0")
         if self.window_ms <= 0:
             raise ConfigError("window_ms must be > 0")
+        if int(self.baseline_minutes * 60_000) <= self.window_ms // 2:
+            # The metric baseline [t0 - baseline, t0 - window/2) would be empty.
+            raise ConfigError("baseline_minutes must reach back past half of window_ms")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("alpha must lie in [0, 1]")
         if self.delta <= 0:

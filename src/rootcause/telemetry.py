@@ -7,6 +7,19 @@ component, metric series by (component, metric). All timestamps are
 integer milliseconds UTC; sub-millisecond precision in sources is
 truncated at parse time so the whole engine compares in one time domain.
 
+Each rule on the data is checked in exactly one of three layers:
+
+- the CSV reader (``_read``) owns the file format: UTF-8, the exact
+  header, the field count, and fields that parse as numbers. It names
+  ``file:line`` for every refusal, including those the next layer raises;
+- each record (:class:`Span`, :class:`LogEntry`, :class:`MetricSample`,
+  :class:`Alert`) checks its own fields when it is made, however it is
+  made: positive timestamps, a non-negative duration, a known log level,
+  a finite metric value;
+- the store checks the rules that span several records: unique span and
+  alert ids, parents inside the same trace, one root and no cycle per
+  trace, topology coverage, and alert bindings.
+
 The store is immutable after ingest and safe for unrestricted concurrent
 reads; ingest itself is single-threaded per store instance.
 """
@@ -18,8 +31,11 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import DataError, NotFoundError
+
+T = TypeVar("T")
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARN", "ERROR", "FATAL")
 
@@ -55,6 +71,12 @@ class Span:
     duration: int
     status_code: int
 
+    def __post_init__(self):
+        if self.start_time <= 0:
+            raise DataError(f"span {self.span_id}: field start_time_ms must be > 0")
+        if self.duration < 0:
+            raise DataError(f"span {self.span_id}: field duration_ms must be >= 0")
+
     @property
     def is_root(self) -> bool:
         return self.parent_span_id is None
@@ -68,6 +90,15 @@ class LogEntry:
     kind: str
     message: str
 
+    def __post_init__(self):
+        if self.timestamp <= 0:
+            raise DataError(f"log entry at {self.component}: field timestamp_ms must be > 0")
+        if self.level not in LOG_LEVELS:
+            raise DataError(
+                f"log entry at {self.component}: field level must be one of "
+                f"{LOG_LEVELS}, got {self.level!r}"
+            )
+
 
 @dataclass(frozen=True)
 class MetricSample:
@@ -75,6 +106,12 @@ class MetricSample:
     component: str
     metric: str
     value: float
+
+    def __post_init__(self):
+        if self.timestamp <= 0:
+            raise DataError(f"metric {self.metric}@{self.component}: field timestamp_ms must be > 0")
+        if not math.isfinite(self.value):
+            raise DataError(f"metric {self.metric}@{self.component}: field value must be finite")
 
 
 @dataclass(frozen=True)
@@ -87,6 +124,10 @@ class Alert:
     entry_span_id: str
     description: str
     trace_binding: str = "explicit"  # "explicit" or "nearest" (bound at ingest)
+
+    def __post_init__(self):
+        if self.timestamp <= 0:
+            raise DataError(f"alert {self.alert_id}: field timestamp_ms must be > 0")
 
 
 @dataclass(frozen=True)
@@ -221,30 +262,16 @@ class TelemetryStore:
         for comp, metric in sorted(self._metric_series):
             self._metrics_of.setdefault(comp, []).append(metric)
 
-        self._alert_by_id = {a.alert_id: a for a in self.alerts}
+        self._alert_by_id: dict[str, Alert] = {}
+        for a in self.alerts:
+            if a.alert_id in self._alert_by_id:
+                raise DataError(f"duplicate alert_id {a.alert_id}")
+            self._alert_by_id[a.alert_id] = a
         self._validate()
 
     # -- validation ------------------------------------------------------
 
     def _validate(self) -> None:
-        for s in self.spans:
-            if s.start_time <= 0:
-                raise DataError(f"span {s.span_id}: start_time must be > 0")
-            if s.duration < 0:
-                raise DataError(f"span {s.span_id}: duration must be >= 0")
-        for e in self.logs:
-            if e.timestamp <= 0:
-                raise DataError(f"log entry at {e.component}: timestamp must be > 0")
-            if e.level not in LOG_LEVELS:
-                raise DataError(
-                    f"log entry at {e.component}: level must be one of {LOG_LEVELS}, "
-                    f"got {e.level!r}"
-                )
-        for m in self.metrics:
-            if m.timestamp <= 0:
-                raise DataError(f"metric {m.metric}@{m.component}: timestamp must be > 0")
-            if not math.isfinite(m.value):
-                raise DataError(f"metric {m.metric}@{m.component}: value must be finite")
         dangling = sorted(
             s.span_id for s in self.spans
             if s.parent_span_id is not None and s.parent_span_id not in self._span_by_id
@@ -378,121 +405,83 @@ def slice_window(
 # -- parsing ---------------------------------------------------------------
 
 
-def _parse_int(raw: str, path: str, line: int, fieldname: str) -> int:
+def _int(raw: str, field: str) -> int:
     try:
         # Truncate sub-millisecond precision from float-ish sources.
         return int(float(raw)) if "." in raw else int(raw)
-    except ValueError:
-        raise DataError(f"{path}:{line}: field {fieldname} is not an integer: {raw!r}")
+    except (ValueError, OverflowError):
+        raise DataError(f"field {field} is not an integer: {raw!r}") from None
 
 
-def _parse_float(raw: str, path: str, line: int, fieldname: str) -> float:
+def _float(raw: str, field: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
-        raise DataError(f"{path}:{line}: field {fieldname} is not a number: {raw!r}")
-    if not math.isfinite(value):
-        raise DataError(f"{path}:{line}: field {fieldname} must be finite: {raw!r}")
-    return value
+        raise DataError(f"field {field} is not a number: {raw!r}") from None
 
 
-def _read_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    if not path.exists():
-        raise DataError(f"missing telemetry file: {path}")
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _span(trace_id, span_id, parent, cmdb, service, op, start, dur, status) -> Span:
+    return Span(
+        trace_id, span_id, parent or None, cmdb, service, op,
+        _int(start, "start_time_ms"), _int(dur, "duration_ms"), _int(status, "status_code"),
+    )
+
+
+def _log(ts, cmdb, level, kind, message) -> LogEntry:
+    return LogEntry(_int(ts, "timestamp_ms"), cmdb, level, kind, message)
+
+
+def _metric(ts, cmdb, metric, value) -> MetricSample:
+    return MetricSample(_int(ts, "timestamp_ms"), cmdb, metric, _float(value, "value"))
+
+
+def _alert(alert_id, ts, trace_id, entry_span_id, description) -> Alert:
+    return Alert(alert_id, _int(ts, "timestamp_ms"), trace_id, entry_span_id, description)
+
+
+def _read(path: Path, header: list[str], make: Callable[..., T]) -> list[T]:
+    """``make(*fields)`` for each data row of a telemetry CSV, in file order.
+
+    Blank lines are skipped. Every refusal, the reader's own or a
+    ``DataError`` from ``make``, is a ``DataError`` naming ``path:line``,
+    where line is the physical line the offending row starts on.
+    """
+    records: list[T] = []
+    line = 1
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            first = next(rows, None)
+            if first != header:
+                found = "empty file" if first is None else f"bad header {','.join(first)!r}"
+                raise DataError(f"{path}:1: {found}, expected {','.join(header)!r}")
+            line = rows.line_num + 1
+            for row in rows:
+                if row:
+                    if len(row) != len(header):
+                        raise DataError(
+                            f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
+                        )
+                    try:
+                        records.append(make(*row))
+                    except DataError as exc:
+                        raise DataError(f"{path}:{line}: {exc}") from None
+                line = rows.line_num + 1
+    except csv.Error as exc:
+        raise DataError(f"{path}:{line}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # The streaming decoder's offsets are relative to its current chunk,
+        # so decode the whole file once to find the line of the bad byte.
+        raw = path.read_bytes()
         try:
-            first = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header {','.join(header)}")
-        if first != header:
-            raise DataError(
-                f"{path}:1: bad header {','.join(first)!r}, expected {','.join(header)!r}"
-            )
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{i}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append((i, row))
-    return rows
-
-
-def _parse_spans(path: Path) -> list[Span]:
-    spans = []
-    for line, row in _read_rows(path, TRACE_HEADER):
-        trace_id, span_id, parent, cmdb, service, op, start, dur, status = row
-        start_ms = _parse_int(start, str(path), line, "start_time_ms")
-        dur_ms = _parse_int(dur, str(path), line, "duration_ms")
-        if start_ms <= 0:
-            raise DataError(f"{path}:{line}: field start_time_ms must be > 0")
-        if dur_ms < 0:
-            raise DataError(f"{path}:{line}: field duration_ms must be >= 0")
-        spans.append(Span(
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_span_id=parent or None,
-            cmdb_id=cmdb,
-            service=service,
-            operation=op,
-            start_time=start_ms,
-            duration=dur_ms,
-            status_code=_parse_int(status, str(path), line, "status_code"),
-        ))
-    return spans
-
-
-def _parse_logs(path: Path) -> list[LogEntry]:
-    entries = []
-    for line, row in _read_rows(path, LOG_HEADER):
-        ts, cmdb, level, kind, message = row
-        ts_ms = _parse_int(ts, str(path), line, "timestamp_ms")
-        if ts_ms <= 0:
-            raise DataError(f"{path}:{line}: field timestamp_ms must be > 0")
-        if level not in LOG_LEVELS:
-            raise DataError(
-                f"{path}:{line}: field level must be one of {LOG_LEVELS}, got {level!r}"
-            )
-        entries.append(LogEntry(ts_ms, cmdb, level, kind, message))
-    return entries
-
-
-def _parse_metrics(path: Path) -> list[MetricSample]:
-    samples = []
-    for line, row in _read_rows(path, METRIC_HEADER):
-        ts, cmdb, metric, value = row
-        ts_ms = _parse_int(ts, str(path), line, "timestamp_ms")
-        if ts_ms <= 0:
-            raise DataError(f"{path}:{line}: field timestamp_ms must be > 0")
-        samples.append(MetricSample(ts_ms, cmdb, metric, _parse_float(value, str(path), line, "value")))
-    return samples
-
-
-def _parse_alerts(path: Path) -> list[Alert]:
-    alerts = []
-    for line, row in _read_rows(path, ALERT_HEADER):
-        alert_id, ts, trace_id, entry_span, desc = row
-        alerts.append(Alert(
-            alert_id=alert_id,
-            timestamp=_parse_int(ts, str(path), line, "timestamp_ms"),
-            trace_id=trace_id,
-            entry_span_id=entry_span,
-            description=desc,
-        ))
-    return alerts
-
-
-def _parse_topology(path: Path) -> Topology:
-    pod_to_service: dict[str, str] = {}
-    pod_to_node: dict[str, str] = {}
-    for line, row in _read_rows(path, TOPOLOGY_HEADER):
-        cmdb, service, node = row
-        pod_to_service[cmdb] = service
-        pod_to_node[cmdb] = node
-    return Topology(pod_to_service, pod_to_node)
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8: {exc.reason}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+    return records
 
 
 def _bind_alerts(alerts: list[Alert], spans: list[Span], window_ms: int) -> list[Alert]:
@@ -536,21 +525,19 @@ def ingest(data_dir: str | Path, window_ms: int = 60_000) -> TelemetryStore:
     if not root.is_dir():
         raise DataError(f"telemetry directory not found: {root}")
 
-    def optional(name: str, parser, default):
+    def read(name: str, header: list[str], make: Callable[..., T]) -> list[T]:
         path = root / FILE_NAMES[name]
-        return parser(path) if path.exists() else default
+        return _read(path, header, make) if path.exists() else []
 
-    spans = optional("traces", _parse_spans, [])
-    logs = optional("logs", _parse_logs, [])
-    metrics = optional("metrics", _parse_metrics, [])
-    alerts = optional("alerts", _parse_alerts, [])
+    spans = read("traces", TRACE_HEADER, _span)
+    logs = read("logs", LOG_HEADER, _log)
+    metrics = read("metrics", METRIC_HEADER, _metric)
+    alerts = read("alerts", ALERT_HEADER, _alert)
     topo_path = root / FILE_NAMES["topology"]
-    if topo_path.exists():
-        topology = _parse_topology(topo_path)
-    elif spans:
+    if spans and not topo_path.exists():
         raise DataError(f"missing telemetry file: {topo_path}")
-    else:
-        topology = Topology({}, {})
+    pods = read("topology", TOPOLOGY_HEADER, lambda *row: row)
+    topology = Topology({p: s for p, s, _ in pods}, {p: n for p, _, n in pods})
     alerts = _bind_alerts(alerts, spans, window_ms)
     return TelemetryStore(spans, logs, metrics, alerts, topology)
 

@@ -32,6 +32,15 @@ def test_invalid_thresholds_exit_two(capsys):
     assert run_cli("--tau-skip", "0.5", "--tau-partial", "0.9", "--print-config") == 2
 
 
+def test_baseline_that_can_hold_no_sample_exits_two(tmp_path, capsys):
+    Config().validate()
+    Config(baseline_minutes=5.0).validate()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"baseline_minutes": 0}))
+    assert run_cli("--config", str(path), "--print-config") == 2
+    assert "baseline_minutes" in capsys.readouterr().err
+
+
 def test_generate_deterministic_directories(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("--seed", "7", "generate", "--out", str(out1)) == 0
@@ -63,6 +72,22 @@ def test_analyze_malformed_row_exits_one(tmp_path, capsys):
     code = run_cli("analyze", "--data", str(data), "--out", str(tmp_path / "out"))
     assert code == 1
     assert "start_time_ms" in capsys.readouterr().err
+
+
+def test_analyze_overflowing_integer_exits_one_naming_the_line(tmp_path, capsys):
+    data = tmp_path / "data"
+    export(walkthrough_store(), data)
+    traces = data / "traces.csv"
+    lines = traces.read_text().splitlines()
+    row = lines[1].split(",")
+    row[7] = "1.5e400"
+    lines[1] = ",".join(row)
+    traces.write_text("\n".join(lines) + "\n")
+    code = run_cli("analyze", "--data", str(data), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "traces.csv:2: field duration_ms" in err[0]
 
 
 def test_analyze_walkthrough_and_memory_rerun(tmp_path, capsys):

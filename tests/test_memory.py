@@ -452,6 +452,12 @@ def _unknown_verdict(body):
     body["transcript"]["steps"][0]["verdict"] = "Maybe"
 
 
+def _unknown_log_level(body):
+    body["transcript"]["steps"][0]["log_evidence"].append(
+        {"timestamp": 5, "component": "p0-0", "level": "SHOUT", "kind": "k", "message": "m"}
+    )
+
+
 CORRUPTIONS = {  # name -> (edit of the file's lines, line the problem is on)
     "checksum mismatch": (_tamper, 3),
     "version 99": (_version_99, 1),
@@ -461,6 +467,7 @@ CORRUPTIONS = {  # name -> (edit of the file's lines, line the problem is on)
     "embedding norm": (_reseal(lambda body: body.update(
         embedding=[2 * x for x in body["embedding"]])), 3),
     "unknown verdict": (_reseal(_unknown_verdict), 3),
+    "unknown log level": (_reseal(_unknown_log_level), 3),
     "fingerprint": (_reseal(lambda body: body.update(fingerprint="f" * 64)), 3),
 }
 
