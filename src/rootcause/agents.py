@@ -1,12 +1,16 @@
-"""Evidence-gathering agents and the ranking consolidator.
+"""Evidence-gathering agents, the reasoning transcript, and the consolidator.
 
 Three read-only agents pull the per-span evidence the reasoner needs: the
 trace agent lists child calls, the log agent filters relevant log entries
 around a timestamp, and the metric agent runs an n-sigma test against a
 historical baseline for the component and its related entities (its
-service and host node for a pod). The consolidator is a pure function
-from reasoning steps to a ranked candidate list; it never touches the
-store, which is what makes the final review stage auditable.
+service and host node for a pod). A ``Step`` records one span's verdict
+with that evidence, and a ``Transcript`` orders the steps of one alert;
+the reasoner writes them, memory stores and remaps them, and their JSON
+form (``as_dict``/``from_dict``) is read off their fields. The
+consolidator is a pure function from steps to a ranked candidate list; it
+never touches the store, which is what makes the final review stage
+auditable.
 
 Everything here reads the immutable store and may be called concurrently.
 """
@@ -47,25 +51,97 @@ class MetricAnomaly:
     first_exceed: int  # timestamp of the first crossing
 
     def as_dict(self) -> dict:
-        return {
-            "component": self.component,
-            "metric": self.metric,
-            "series": [list(p) for p in self.series],
-            "baseline": list(self.baseline),
-            "max_deviation": self.max_deviation,
-            "first_exceed": self.first_exceed,
-        }
+        return {**vars(self), "series": [list(p) for p in self.series],
+                "baseline": list(self.baseline)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricAnomaly":
-        return cls(
-            component=d["component"],
-            metric=d["metric"],
-            series=tuple((int(t), float(v)) for t, v in d["series"]),
-            baseline=(float(d["baseline"][0]), float(d["baseline"][1])),
-            max_deviation=float(d["max_deviation"]),
-            first_exceed=int(d["first_exceed"]),
-        )
+        return cls(**{**d, "series": tuple(map(tuple, d["series"])),
+                      "baseline": tuple(d["baseline"])})
+
+
+# -- the reasoning transcript ------------------------------------------------------
+
+VERDICTS = ("Suspect", "ConfirmedRootCause", "Cleared", "Expanded")
+STAGES = ("Initial", "Reflection")
+
+
+@dataclass(frozen=True)
+class Step:
+    """One reasoning step, linked to a span and its causal-graph node."""
+
+    index: int
+    stage: str
+    node: str
+    span: str
+    pod: str
+    op: str
+    span_status: int
+    span_start: int
+    instruction: str
+    trace_evidence: tuple[ChildCall, ...]
+    log_evidence: tuple[LogEntry, ...]
+    metric_evidence: tuple[MetricAnomaly, ...]
+    verdict: str
+    errored: bool = False
+    stale: bool = False
+
+    def __post_init__(self):
+        if self.verdict not in VERDICTS:
+            raise DataError(f"unknown verdict {self.verdict!r}")
+        if self.stage not in STAGES:
+            raise DataError(f"unknown stage {self.stage!r}")
+
+    def as_dict(self) -> dict:
+        return {
+            **vars(self),
+            "trace_evidence": [dict(vars(c)) for c in self.trace_evidence],
+            "log_evidence": [dict(vars(e)) for e in self.log_evidence],
+            "metric_evidence": [a.as_dict() for a in self.metric_evidence],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Step":
+        """The step ``as_dict`` wrote; the defaulted flags must be present too."""
+        return cls(**{
+            **d,
+            "trace_evidence": tuple(ChildCall(**c) for c in d["trace_evidence"]),
+            "log_evidence": tuple(LogEntry(**e) for e in d["log_evidence"]),
+            "metric_evidence": tuple(MetricAnomaly.from_dict(a) for a in d["metric_evidence"]),
+            "errored": d["errored"],
+            "stale": d["stale"],
+        })
+
+
+@dataclass
+class Transcript:
+    alert_id: str
+    steps: list[Step]
+    stage_markers: dict[str, int]  # step counts per stage, initial before reflection
+
+    def __post_init__(self):
+        seen_reflection = False
+        for s in self.steps:
+            if s.stage == "Reflection":
+                seen_reflection = True
+            elif seen_reflection:
+                raise DataError("initial-stage steps must precede reflection steps")
+
+    @property
+    def suspects(self) -> list[Step]:
+        return [s for s in self.steps if s.verdict == "Suspect" and not s.stale]
+
+    @property
+    def confirmed(self) -> list[Step]:
+        return [s for s in self.steps if s.verdict == "ConfirmedRootCause" and not s.stale]
+
+    def as_dict(self) -> dict:
+        return {**vars(self), "stage_markers": dict(self.stage_markers),
+                "steps": [s.as_dict() for s in self.steps]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Transcript":
+        return cls(**{**d, "steps": [Step.from_dict(s) for s in d["steps"]]})
 
 
 @dataclass
@@ -146,7 +222,8 @@ def log_scope(topology: Topology, component: str) -> list[str]:
     return _dedupe(related)
 
 
-def _dedupe(items) -> list[str]:
+def _dedupe(items) -> list:
+    """``items`` without None and repeats, in first-seen order."""
     seen = []
     for x in items:
         if x is not None and x not in seen:
@@ -294,7 +371,7 @@ def _op_service(op_name: str, fallback: str) -> str:
     return fallback
 
 
-def _candidate_levels_for_step(step, topology: Topology) -> list[tuple[str, str]]:
+def _candidate_levels_for_step(step: Step, topology: Topology) -> list[tuple[str, str]]:
     pod = step.pod
     out: list[tuple[str, str]] = [("pod", pod)]
     service = _op_service(step.op, topology.service_of(pod) or "")
@@ -311,10 +388,10 @@ def _candidate_levels_for_step(step, topology: Topology) -> list[tuple[str, str]
         target = _log_attribution(entry, pod, topology)
         if target:
             out.append(target)
-    return _dedupe_pairs(out)
+    return _dedupe(out)
 
 
-def _log_attribution(entry, step_pod: str, topology: Topology) -> tuple[str, str] | None:
+def _log_attribution(entry: LogEntry, step_pod: str, topology: Topology) -> tuple[str, str] | None:
     """Each log entry supports exactly one candidate: the step's own pod
     when it logged itself, otherwise the logging pod's service (sibling
     corroboration implicates the service, not the individual pod)."""
@@ -329,16 +406,8 @@ def _log_attribution(entry, step_pod: str, topology: Topology) -> tuple[str, str
     return None
 
 
-def _dedupe_pairs(pairs):
-    seen = []
-    for p in pairs:
-        if p not in seen:
-            seen.append(p)
-    return seen
-
-
 def consolidate(
-    steps,
+    steps: list[Step],
     topology: Topology,
     weights: ScoreWeights | None = None,
 ) -> RootCauseRanking:
@@ -360,7 +429,7 @@ def consolidate(
     for step in ordered:
         if step.verdict not in ("Suspect", "ConfirmedRootCause"):
             continue
-        if getattr(step, "stale", False) or getattr(step, "errored", False):
+        if step.stale or step.errored:
             continue
         for level, comp in _candidate_levels_for_step(step, topology):
             metric_norm = 0.0

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import Config
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, DataError, EngineError
 from .evaluation import run_benchmark
 from .memory import Memory, verify
 from .reasoner import (
@@ -98,7 +98,7 @@ def make_policy(cfg: Config):
         return deterministic_policy(cfg)
     from .llm import llm_policy
 
-    return llm_policy(cfg.llm)
+    return llm_policy(cfg.llm, fallback=deterministic_policy(cfg))
 
 
 def cmd_analyze(args, cfg: Config) -> int:
@@ -245,9 +245,15 @@ def cmd_replay(args, cfg: Config) -> int:
     path = Path(args.transcript)
     if not path.exists():
         raise ConfigError(f"transcript not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    print(render_transcript(text), end="")
-    recomputed, stored = replay_transcript(text, cfg)
+    try:
+        text = path.read_text(encoding="utf-8")
+        rendered = render_transcript(text)
+        recomputed, stored = replay_transcript(text, cfg)
+    except KeyError as exc:
+        raise DataError(f"{path}: transcript lacks key {exc}") from None
+    except (EngineError, ValueError, TypeError) as exc:
+        raise DataError(f"{path}: malformed transcript: {exc}") from None
+    print(rendered, end="")
     if recomputed.as_rows() != stored:
         print("MISMATCH: re-consolidated ranking differs from the stored ranking")
         return 1

@@ -81,6 +81,8 @@ class Config:
             raise ConfigError("alpha must lie in [0, 1]")
         if self.delta <= 0:
             raise ConfigError("delta must be > 0")
+        if self.timeout_factor <= 0:
+            raise ConfigError("timeout_factor must be > 0")
         if self.embedding_dim < 8:
             raise ConfigError("embedding_dim must be >= 8")
         if self.max_depth < 1:

@@ -229,10 +229,11 @@ class LlmPolicy(PolicyContract):
     call counters stay meaningful across policies.
     """
 
-    def __init__(self, config: LlmConfig, transport=None, max_inflight: int = 4):
+    def __init__(self, config: LlmConfig, transport=None, max_inflight: int = 4,
+                 fallback: PolicyContract | None = None):
         self.config = config
         self.transport = transport if transport is not None else HttpTransport(config)
-        self.fallback = DeterministicPolicy()
+        self.fallback = fallback if fallback is not None else DeterministicPolicy()
         self.events = LlmEvents()
         self._gate = threading.Semaphore(max_inflight)
 
@@ -337,12 +338,14 @@ def llm_policy(
     record_path=None,
     replay_path=None,
     max_inflight: int = 4,
+    fallback: PolicyContract | None = None,
 ) -> LlmPolicy:
-    """Build the policy with an optional record or replay transport."""
+    """Build the policy with an optional record or replay transport and the
+    policy that answers a call the backend fails."""
     if replay_path is not None:
         transport = ReplayTransport(replay_path)
     elif transport is None:
         transport = HttpTransport(config)
     if record_path is not None:
         transport = RecordingTransport(transport, record_path)
-    return LlmPolicy(config, transport=transport, max_inflight=max_inflight)
+    return LlmPolicy(config, transport=transport, max_inflight=max_inflight, fallback=fallback)

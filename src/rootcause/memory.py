@@ -38,11 +38,12 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .agents import Transcript
 from .errors import EngineError, MemoryIntegrityError, MemoryValidationError
 from .graph import (
     CausalGraph,
@@ -68,7 +69,7 @@ class MemoryEntry:
     e: Embedding
     graph: CausalGraph
     meta: tuple[int, str]  # (timestamp_ms, alert_id)
-    transcript: "object"  # reasoner.Transcript; duck-typed to avoid a cycle
+    transcript: Transcript
 
     @property
     def alert_id(self) -> str:
@@ -284,15 +285,13 @@ def verify(path) -> list[str]:
     return _read(path)[1]
 
 
-def remap(entry: MemoryEntry, g_new: CausalGraph):
+def remap(entry: MemoryEntry, g_new: CausalGraph) -> Transcript:
     """Re-bind a stored transcript onto a new alert's graph.
 
     Steps are matched through the (pod, operation) identity key; a step
     whose node has no counterpart in the new graph is marked stale and
     will be excluded from consolidation.
     """
-    from .reasoner import Transcript
-
     new_keys = {g_new.nodes[n].key: n for n in g_new.nodes}
     steps = []
     for step in entry.transcript.steps:
@@ -300,10 +299,11 @@ def remap(entry: MemoryEntry, g_new: CausalGraph):
         key = old_attrs.key if old_attrs else None
         target = new_keys.get(key) if key else None
         if target is None:
-            steps.append(step.evolve(stale=True))
+            steps.append(replace(step, stale=True))
         else:
             span_ids = g_new.nodes[target].span_ids
-            steps.append(step.evolve(
+            steps.append(replace(
+                step,
                 node=target,
                 span=span_ids[0] if span_ids else step.span,
                 stale=False,
@@ -352,7 +352,7 @@ def _check_entry(entry: MemoryEntry, dim: int) -> tuple[Embedding, list[str]]:
         problems.append(f"embedding has shape {entry.e.vector.shape}, memory dim is {dim}")
     elif not np.allclose(entry.e.vector, e.vector, atol=1e-12):
         problems.append("embedding does not match its graph")
-    for step in getattr(entry.transcript, "steps", []):
+    for step in entry.transcript.steps:
         if not step.stale and step.node not in entry.graph.nodes:
             problems.append(
                 f"transcript step {step.index} references node {step.node!r} "
@@ -365,8 +365,6 @@ def _read(path) -> tuple[Memory | None, list[str]]:
     """The memory a file holds and every problem in it, each as
     ``path:line: message``, in file order. A bad manifest ends the read;
     every record is parsed, then ``store``d."""
-    from .reasoner import Transcript  # local import to avoid a module cycle
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()

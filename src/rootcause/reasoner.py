@@ -29,7 +29,6 @@ interchangeable under test.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import statistics
@@ -37,10 +36,13 @@ import time
 from dataclasses import dataclass, field
 
 from .agents import (
+    Candidate,
     ChildCall,
     MetricAnomaly,
     RootCauseRanking,
     ScoreWeights,
+    Step,
+    Transcript,
     consolidate,
     log_agent,
     metric_agent,
@@ -51,116 +53,6 @@ from .errors import DataError
 from .graph import extract, graph_key
 from .memory import Decision, Memory, MemoryEntry, remap
 from .telemetry import Alert, AlertWindow, LogEntry, Span, TelemetryStore, Topology
-
-VERDICTS = ("Suspect", "ConfirmedRootCause", "Cleared", "Expanded")
-STAGES = ("Initial", "Reflection")
-
-
-@dataclass(frozen=True)
-class Step:
-    """One reasoning step, linked to a span and its causal-graph node."""
-
-    index: int
-    stage: str
-    node: str
-    span: str
-    pod: str
-    op: str
-    span_status: int
-    span_start: int
-    instruction: str
-    trace_evidence: tuple[ChildCall, ...]
-    log_evidence: tuple[LogEntry, ...]
-    metric_evidence: tuple[MetricAnomaly, ...]
-    verdict: str
-    errored: bool = False
-    stale: bool = False
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise DataError(f"unknown verdict {self.verdict!r}")
-        if self.stage not in STAGES:
-            raise DataError(f"unknown stage {self.stage!r}")
-
-    def evolve(self, **changes) -> "Step":
-        return dataclasses.replace(self, **changes)
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "stage": self.stage,
-            "node": self.node,
-            "span": self.span,
-            "pod": self.pod,
-            "op": self.op,
-            "span_status": self.span_status,
-            "span_start": self.span_start,
-            "instruction": self.instruction,
-            "trace_evidence": [dataclasses.asdict(c) for c in self.trace_evidence],
-            "log_evidence": [dataclasses.asdict(e) for e in self.log_evidence],
-            "metric_evidence": [a.as_dict() for a in self.metric_evidence],
-            "verdict": self.verdict,
-            "errored": self.errored,
-            "stale": self.stale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Step":
-        return cls(
-            index=d["index"],
-            stage=d["stage"],
-            node=d["node"],
-            span=d["span"],
-            pod=d["pod"],
-            op=d["op"],
-            span_status=d["span_status"],
-            span_start=d["span_start"],
-            instruction=d["instruction"],
-            trace_evidence=tuple(ChildCall(**c) for c in d["trace_evidence"]),
-            log_evidence=tuple(LogEntry(**e) for e in d["log_evidence"]),
-            metric_evidence=tuple(MetricAnomaly.from_dict(a) for a in d["metric_evidence"]),
-            verdict=d["verdict"],
-            errored=d["errored"],
-            stale=d["stale"],
-        )
-
-
-@dataclass
-class Transcript:
-    alert_id: str
-    steps: list[Step]
-    stage_markers: dict[str, int]  # step counts per stage, initial before reflection
-
-    def __post_init__(self):
-        seen_reflection = False
-        for s in self.steps:
-            if s.stage == "Reflection":
-                seen_reflection = True
-            elif seen_reflection:
-                raise DataError("initial-stage steps must precede reflection steps")
-
-    @property
-    def suspects(self) -> list[Step]:
-        return [s for s in self.steps if s.verdict == "Suspect" and not s.stale]
-
-    @property
-    def confirmed(self) -> list[Step]:
-        return [s for s in self.steps if s.verdict == "ConfirmedRootCause" and not s.stale]
-
-    def as_dict(self) -> dict:
-        return {
-            "alert_id": self.alert_id,
-            "stage_markers": dict(self.stage_markers),
-            "steps": [s.as_dict() for s in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Transcript":
-        return cls(
-            alert_id=d["alert_id"],
-            steps=[Step.from_dict(s) for s in d["steps"]],
-            stage_markers=dict(d["stage_markers"]),
-        )
 
 
 # -- policies -------------------------------------------------------------------
@@ -710,8 +602,6 @@ class WindowReport:
 
 def aggregate_rankings(rankings: list[RootCauseRanking]) -> RootCauseRanking:
     """Window-level merge: summed reciprocal rank per (level, component)."""
-    from .agents import Candidate
-
     acc: dict[tuple[str, str], dict] = {}
     for ranking in rankings:
         for pos, cand in enumerate(ranking, start=1):

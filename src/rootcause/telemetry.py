@@ -11,7 +11,8 @@ Each rule on the data is checked in exactly one of three layers:
 
 - the CSV reader (``_read``) owns the file format: UTF-8, the exact
   header, the field count, and fields that parse as numbers. It names
-  ``file:line`` for every refusal, including those the next layer raises;
+  ``file:line`` for every refusal, including those the next layer raises
+  and a ``cmdb_id`` that ``topology.csv`` lists twice;
 - each record (:class:`Span`, :class:`LogEntry`, :class:`MetricSample`,
   :class:`Alert`) checks its own fields when it is made, however it is
   made: positive timestamps, a non-negative duration, a known log level,
@@ -29,9 +30,9 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, KeysView, TypeVar
 
 from .errors import DataError, NotFoundError
 
@@ -149,10 +150,19 @@ class AlertWindow:
 
 @dataclass(frozen=True)
 class Topology:
-    """Pod to service and pod to host-node maps, total over ingested pods."""
+    """Pod to service and pod to host-node maps, total over ingested pods.
+
+    The services, the nodes and each one's sorted pods are derived once,
+    here, so the maps must not change afterwards."""
 
     pod_to_service: dict[str, str]
     pod_to_node: dict[str, str]
+    _service_pods: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _node_pods: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_service_pods", _pods_by_value(self.pod_to_service))
+        object.__setattr__(self, "_node_pods", _pods_by_value(self.pod_to_node))
 
     def service_of(self, pod: str) -> str | None:
         return self.pod_to_service.get(pod)
@@ -161,28 +171,36 @@ class Topology:
         return self.pod_to_node.get(pod)
 
     def pods_of_service(self, service: str) -> list[str]:
-        return sorted(p for p, s in self.pod_to_service.items() if s == service)
+        return list(self._service_pods.get(service, ()))
 
     def pods_on_node(self, node: str) -> list[str]:
-        return sorted(p for p, n in self.pod_to_node.items() if n == node)
+        return list(self._node_pods.get(node, ()))
 
     @property
-    def services(self) -> set[str]:
-        return set(self.pod_to_service.values())
+    def services(self) -> KeysView[str]:
+        return self._service_pods.keys()
 
     @property
-    def nodes(self) -> set[str]:
-        return set(self.pod_to_node.values())
+    def nodes(self) -> KeysView[str]:
+        return self._node_pods.keys()
 
     def level_of(self, component: str) -> str | None:
         """Classify a component id as pod, service or node, if known."""
         if component in self.pod_to_service:
             return "pod"
-        if component in self.services:
+        if component in self._service_pods:
             return "service"
-        if component in self.nodes:
+        if component in self._node_pods:
             return "node"
         return None
+
+
+def _pods_by_value(pod_to: dict[str, str]) -> dict[str, list[str]]:
+    """Each value of a pod map with the pods mapped to it, sorted."""
+    out: dict[str, list[str]] = {}
+    for pod in sorted(pod_to):
+        out.setdefault(pod_to[pod], []).append(pod)
+    return out
 
 
 @dataclass
@@ -406,9 +424,13 @@ def slice_window(
 
 
 def _int(raw: str, field: str) -> int:
+    """An integer field; a finite float form (``17e11``, ``250.9``) truncates."""
     try:
-        # Truncate sub-millisecond precision from float-ish sources.
-        return int(float(raw)) if "." in raw else int(raw)
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        return int(float(raw))  # int() refuses nan and infinities such as 1e400
     except (ValueError, OverflowError):
         raise DataError(f"field {field} is not an integer: {raw!r}") from None
 
@@ -536,8 +558,15 @@ def ingest(data_dir: str | Path, window_ms: int = 60_000) -> TelemetryStore:
     topo_path = root / FILE_NAMES["topology"]
     if spans and not topo_path.exists():
         raise DataError(f"missing telemetry file: {topo_path}")
-    pods = read("topology", TOPOLOGY_HEADER, lambda *row: row)
-    topology = Topology({p: s for p, s, _ in pods}, {p: n for p, _, n in pods})
+    service_of, node_of = {}, {}
+
+    def pod(cmdb_id: str, service: str, node: str) -> None:
+        if cmdb_id in service_of:
+            raise DataError(f"duplicate cmdb_id {cmdb_id}")
+        service_of[cmdb_id], node_of[cmdb_id] = service, node
+
+    read("topology", TOPOLOGY_HEADER, pod)
+    topology = Topology(service_of, node_of)
     alerts = _bind_alerts(alerts, spans, window_ms)
     return TelemetryStore(spans, logs, metrics, alerts, topology)
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from rootcause.cli import main
 from rootcause.config import Config
 from rootcause.memory import _checksum
@@ -39,6 +41,13 @@ def test_baseline_that_can_hold_no_sample_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"baseline_minutes": 0}))
     assert run_cli("--config", str(path), "--print-config") == 2
     assert "baseline_minutes" in capsys.readouterr().err
+
+
+def test_nonpositive_timeout_factor_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"timeout_factor": 0}))
+    assert run_cli("--config", str(path), "--print-config") == 2
+    assert "timeout_factor" in capsys.readouterr().err
 
 
 def test_generate_deterministic_directories(tmp_path):
@@ -196,6 +205,35 @@ def test_replay_detects_tampered_ranking(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("replay", str(path)) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def _drop_first_step_stale(path):
+    doc = json.loads(path.read_text())
+    del doc["steps"][0]["stale"]
+    path.write_text(json.dumps(doc))
+
+
+MALFORMED_TRANSCRIPTS = {  # name -> (edit of an exported transcript file, stderr after the path)
+    "not JSON": (lambda path: path.write_text("{not json"), "malformed transcript"),
+    "step lacks stale": (_drop_first_step_stale, "transcript lacks key 'stale'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TRANSCRIPTS))
+def test_replay_malformed_transcript_exits_one_naming_the_file(tmp_path, capsys, name):
+    edit, message = MALFORMED_TRANSCRIPTS[name]
+    data = tmp_path / "data"
+    export(walkthrough_store(), data)
+    out = tmp_path / "out"
+    run_cli("analyze", "--data", str(data), "--out", str(out))
+    path = next((out / "transcripts").glob("*.json"))
+    edit(path)
+    capsys.readouterr()
+    assert run_cli("replay", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"error: {path}: {message}")
+    assert captured.out == ""
 
 
 def test_explicit_window_bounds_override_detection(tmp_path, capsys):

@@ -77,6 +77,18 @@ REFUSALS = {
         "traces.csv", 2, lambda d: _set_field(d, 2, 7, "1.5e400"),
         "field duration_ms is not an integer", None,
     ),
+    "integer not a number": (
+        "traces.csv", 6, lambda d: _set_field(d, 6, 7, "nan"),
+        "field duration_ms is not an integer", None,
+    ),
+    "integer infinite": (
+        "traces.csv", 7, lambda d: _set_field(d, 7, 8, "inf"),
+        "field status_code is not an integer", None,
+    ),
+    "duplicate cmdb_id": (
+        "topology.csv", 9, lambda d: d + b"frontend2-0,otherservice,node-9\n",
+        "duplicate cmdb_id frontend2-0", None,
+    ),
     "not a number": (
         "metrics.csv", 40, lambda d: _set_field(d, 40, 3, "high"),
         "field value is not a number", None,
@@ -147,6 +159,14 @@ def test_row_refusal_names_file_and_line(tmp_path, name):
     _write(tmp_path, file, edit(FILES[file]))
     with pytest.raises(DataError, match=re.escape(f"{file}:{line}: ") + ".*" + re.escape(message)):
         ingest(tmp_path)
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1000", 1000), ("1e3", 1000), ("17e2", 1700), ("1.7e3", 1700), ("12.9", 12),
+])
+def test_integer_field_accepts_every_finite_number_form(tmp_path, raw, value):
+    _write(tmp_path, "traces.csv", _set_field(FILES["traces.csv"], 3, 7, raw))
+    assert ingest(tmp_path).span("s1").duration == value
 
 
 @pytest.mark.parametrize("name", sorted(n for n, row in REFUSALS.items() if row[4]))

@@ -250,6 +250,21 @@ def test_mistyped_decision_is_repaired_then_falls_back(op, decision):
     assert policy.events.fallbacks == 1
 
 
+def test_cli_llm_fallback_uses_the_configured_timeout_factor(monkeypatch):
+    from rootcause import llm
+    from rootcause.cli import make_policy
+
+    transport = CannedTransport("not a verdict")
+    monkeypatch.setattr(llm, "HttpTransport", lambda config: transport)
+    policy = make_policy(Config(policy="llm", timeout_factor=10))
+    span = make_span(span_id="s1", duration=50)
+    view = [ChildCall(T0, sid, "svc-a", "op", d, 0)
+            for sid, d in (("s1", 50), ("s2", 10), ("s3", 10))]
+    # 5x the sibling median: suspect at the default factor 3, not at 10.
+    assert policy.suspect(span, view) is False
+    assert policy.events.fallbacks == 1 and transport.requests == 2
+
+
 @pytest.mark.parametrize("failure, attempts", [
     (400, 1), (422, 1), (408, 3), (429, 3), (503, 3), ("unreachable", 3),
 ])

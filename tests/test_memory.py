@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
 import re
 
 import pytest
 
+from rootcause.agents import VERDICTS, ChildCall, MetricAnomaly
 from rootcause.cli import main
 from rootcause.errors import EngineError, MemoryIntegrityError, MemoryValidationError
 from rootcause.graph import (
@@ -18,6 +20,7 @@ from rootcause.graph import (
 )
 from rootcause.memory import Decision, Memory, MemoryEntry, _checksum, remap
 from rootcause.reasoner import Step, Transcript
+from rootcause.telemetry import LogEntry
 
 from .conftest import T0
 
@@ -316,12 +319,32 @@ def test_remap_stale_count_matches_set_difference_oracle():
 # -- persistence ------------------------------------------------------------------
 
 
+def evidenced_step(index, graph, node_id, rng):
+    """A step holding every kind of evidence, with a random verdict and flags."""
+    pod = graph.nodes[node_id].pod_id
+    return dataclasses.replace(
+        make_step(index, graph, node_id, verdict=rng.choice(VERDICTS)),
+        trace_evidence=(ChildCall(T0 + index, f"c{index}", "svc", "svc/op", 12, 13),),
+        log_evidence=(LogEntry(T0 + 5, pod, "ERROR", "app", f"timeout {index}"),),
+        metric_evidence=(MetricAnomaly(
+            pod, "cpu", ((T0, 1.5), (T0 + 1, 9.25)), (1.0, 0.5), 16.5, T0 + 1,
+        ),),
+        errored=rng.random() < 0.3,
+        stale=rng.random() < 0.3,
+    )
+
+
 def test_persist_load_round_trip_byte_identical(tmp_path):
     mem = Memory(dim=DIM)
     rng = random.Random(31)
     for i in range(20):
         labels = sorted({f"s{rng.randrange(9)}-{j}" for j in range(rng.randrange(1, 4))})
-        mem.store(make_entry(build_graph(labels, alert_id=f"a{i}")))
+        g = build_graph(labels, alert_id=f"a{i}")
+        steps = [evidenced_step(j, g, nid, rng) for j, nid in enumerate(sorted(g.nodes))]
+        mem.store(make_entry(g, steps=steps if i % 2 else None))
+    stored = [e.transcript for e in mem.entries()]
+    assert any(s.stale for t in stored for s in t.steps)
+    assert any(s.errored for t in stored for s in t.steps)
     p1 = tmp_path / "mem1.jsonl"
     p2 = tmp_path / "mem2.jsonl"
     mem.persist(p1)
@@ -329,6 +352,7 @@ def test_persist_load_round_trip_byte_identical(tmp_path):
     loaded.persist(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(loaded) == len(mem)
+    assert [e.transcript for e in loaded.entries()] == stored
 
 
 def test_persist_load_retrieve_parity(tmp_path):
