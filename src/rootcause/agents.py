@@ -7,7 +7,8 @@ historical baseline for the component and its related entities (its
 service and host node for a pod). A ``Step`` records one span's verdict
 with that evidence, and a ``Transcript`` orders the steps of one alert;
 the reasoner writes them, memory stores and remaps them, and their JSON
-form (``as_dict``/``from_dict``) is read off their fields. The
+form (``as_dict``/``from_dict``) is read off their fields, and a
+transcript's stage markers off its steps. The
 consolidator is a pure function from steps to a ranked candidate list; it
 never touches the store, which is what makes the final review stage
 auditable.
@@ -20,11 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import DEFAULT_LOG_PATTERNS
 from .errors import DataError
-from .graph import SIGMA_FLOOR
+from .graph import SIGMA_FLOOR, mean_std
 from .telemetry import LogEntry, TelemetryStore, Topology, children_of
 
-DEFAULT_LOG_PATTERNS = ("timeout", "exception", "refused", "5xx")
 ALERTING_LEVELS = ("WARN", "ERROR", "FATAL")
 LEVELS = ("pod", "service", "node")
 
@@ -116,8 +117,8 @@ class Step:
 @dataclass
 class Transcript:
     alert_id: str
-    steps: list[Step]
-    stage_markers: dict[str, int]  # step counts per stage, initial before reflection
+    steps: list[Step]  # initial before reflection
+    truncated: tuple[str, ...] = ()  # stages ("initial", "reflection") a budget cut short
 
     def __post_init__(self):
         seen_reflection = False
@@ -132,16 +133,28 @@ class Transcript:
         return [s for s in self.steps if s.verdict == "Suspect" and not s.stale]
 
     @property
-    def confirmed(self) -> list[Step]:
-        return [s for s in self.steps if s.verdict == "ConfirmedRootCause" and not s.stale]
+    def stage_markers(self) -> dict[str, int]:
+        """Step counts per stage, plus ``truncated_<stage>: 1`` per truncated stage."""
+        initial = sum(s.stage == "Initial" for s in self.steps)
+        markers = {"initial": initial, "reflection": len(self.steps) - initial}
+        markers.update((f"truncated_{stage}", 1) for stage in self.truncated)
+        return markers
 
     def as_dict(self) -> dict:
-        return {**vars(self), "stage_markers": dict(self.stage_markers),
+        return {"alert_id": self.alert_id, "stage_markers": self.stage_markers,
                 "steps": [s.as_dict() for s in self.steps]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Transcript":
-        return cls(**{**d, "steps": [Step.from_dict(s) for s in d["steps"]]})
+        """The transcript ``as_dict`` wrote, if its steps bear out its stage markers."""
+        fields = dict(d)
+        markers = fields.pop("stage_markers")
+        fields["steps"] = [Step.from_dict(s) for s in fields["steps"]]
+        t = cls(**fields, truncated=tuple(
+            s for s in ("initial", "reflection") if f"truncated_{s}" in markers))
+        if t.stage_markers != markers:
+            raise DataError(f"stage_markers {markers} do not match the steps: {t.stage_markers}")
+        return t
 
 
 @dataclass
@@ -306,13 +319,7 @@ def metric_agent(
                 baseline = _baseline_cache.get(cache_key)
             if baseline is None:
                 hist = store.metric_series(comp, metric, t0 - baseline_ms, t0 - delta - 1)
-                if not hist:
-                    baseline = ()
-                else:
-                    values = [s.value for s in hist]
-                    mu = sum(values) / len(values)
-                    sd = math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
-                    baseline = (mu, sd)
+                baseline = mean_std([s.value for s in hist]) if hist else ()
                 if _baseline_cache is not None:
                     _baseline_cache[cache_key] = baseline
             if baseline == ():

@@ -247,12 +247,13 @@ def cmd_replay(args, cfg: Config) -> int:
         raise ConfigError(f"transcript not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: malformed transcript: {exc}") from None
+    try:
         rendered = render_transcript(text)
         recomputed, stored = replay_transcript(text, cfg)
-    except KeyError as exc:
-        raise DataError(f"{path}: transcript lacks key {exc}") from None
-    except (EngineError, ValueError, TypeError) as exc:
-        raise DataError(f"{path}: malformed transcript: {exc}") from None
+    except EngineError as exc:
+        raise DataError(f"{path}: {exc}") from None
     print(rendered, end="")
     if recomputed.as_rows() != stored:
         print("MISMATCH: re-consolidated ranking differs from the stored ranking")

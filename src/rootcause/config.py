@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
+DEFAULT_LOG_PATTERNS = ("timeout", "exception", "refused", "5xx")
+
 
 @dataclass
 class LlmConfig:
@@ -56,7 +58,7 @@ class Config:
     memory_path: str | None = None
     baseline_minutes: float = 15.0
     timeout_factor: float = 3.0
-    log_patterns: tuple[str, ...] = ("timeout", "exception", "refused", "5xx")
+    log_patterns: tuple[str, ...] = DEFAULT_LOG_PATTERNS
     w_metric: float = 1.0
     w_log: float = 0.5
     w_status: float = 0.5
@@ -72,8 +74,8 @@ class Config:
             )
         if self.n_sigma <= 0:
             raise ConfigError("n_sigma must be > 0")
-        if self.window_ms <= 0:
-            raise ConfigError("window_ms must be > 0")
+        if self.window_ms < 2:
+            raise ConfigError("window_ms must be >= 2, so its half-window is > 0")
         if int(self.baseline_minutes * 60_000) <= self.window_ms // 2:
             # The metric baseline [t0 - baseline, t0 - window/2) would be empty.
             raise ConfigError("baseline_minutes must reach back past half of window_ms")

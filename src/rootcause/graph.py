@@ -137,7 +137,7 @@ def extract(
         for m in metrics:
             series.setdefault(m.metric, []).append(m.value)
         metric_summary = {
-            name: (_mean(vals), _pstd(vals)) for name, vals in sorted(series.items())
+            name: mean_std(vals) for name, vals in sorted(series.items())
         }
         log_summary: dict[str, int] = {}
         for entry in logs:
@@ -176,16 +176,10 @@ def extract(
     )
 
 
-def _mean(vals: list[float]) -> float:
-    return sum(vals) / len(vals) if vals else 0.0
-
-
-def _pstd(vals: list[float]) -> float:
-    # Population standard deviation; a single sample has zero spread.
-    if len(vals) < 2:
-        return 0.0
-    mu = _mean(vals)
-    return math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals))
+def mean_std(vals: list[float]) -> tuple[float, float]:
+    """Population mean and standard deviation of a non-empty sample."""
+    mu = sum(vals) / len(vals)
+    return mu, math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals))
 
 
 def _assert_acyclic(nodes: dict, edges: dict) -> None:

@@ -105,6 +105,10 @@ class Memory:
     """Store of analyzed alerts keyed by graph fingerprint."""
 
     def __init__(self, dim: int = 128, alpha: float = 0.5):
+        if not isinstance(dim, int) or dim < 8:
+            raise MemoryValidationError(f"memory dim must be an integer >= 8, got {dim!r}")
+        if not (isinstance(alpha, (int, float)) and 0.0 <= alpha <= 1.0):
+            raise MemoryValidationError(f"memory alpha must lie in [0, 1], got {alpha!r}")
         self.dim = dim
         self.alpha = alpha
         self._slots: dict[str, _Slot] = {}
@@ -308,11 +312,7 @@ def remap(entry: MemoryEntry, g_new: CausalGraph) -> Transcript:
                 span=span_ids[0] if span_ids else step.span,
                 stale=False,
             ))
-    return Transcript(
-        alert_id=g_new.alert_id,
-        steps=steps,
-        stage_markers=dict(entry.transcript.stage_markers),
-    )
+    return Transcript(g_new.alert_id, steps, entry.transcript.truncated)
 
 
 def _write_atomic(path, text: str) -> None:
@@ -418,7 +418,8 @@ def _read_manifest(path, lines: list[str]) -> tuple[Memory, object]:
         raise MemoryIntegrityError(f"{path}:1: not a memory file")
     if manifest.get("version") != FORMAT_VERSION:
         raise MemoryIntegrityError(f"{path}:1: unsupported version {manifest.get('version')}")
-    dim, alpha = manifest.get("dim"), manifest.get("alpha")
-    if not isinstance(dim, int) or dim < 8 or not isinstance(alpha, (int, float)):
-        raise MemoryIntegrityError(f"{path}:1: bad dim {dim!r} or alpha {alpha!r}")
-    return Memory(dim=dim, alpha=alpha), manifest.get("entries", 0)
+    try:
+        mem = Memory(dim=manifest.get("dim"), alpha=manifest.get("alpha"))
+    except MemoryValidationError as exc:
+        raise MemoryIntegrityError(f"{path}:1: {exc}") from None
+    return mem, manifest.get("entries", 0)

@@ -256,15 +256,16 @@ def recursive_rcl(
     depth: int = 0,
 ) -> tuple[set[str], list[Step]]:
     """Depth-first walk per the recursion contract; returns the candidate
-    span set (suspect or confirmed spans) and the appended steps.
+    span set (spans of its suspect or confirmed steps) and the appended steps.
 
     Exhausted budgets set ``state.truncated`` rather than raising; a failed
     agent call records an errored step and skips that subtree.
     """
     state = state if state is not None else RunState()
     first = len(state.steps)
-    candidates = _visit(span, policy, runtime, budget, state, sibling_view, stage, context, depth)
-    return candidates, state.steps[first:]
+    _visit(span, policy, runtime, budget, state, sibling_view, stage, context, depth)
+    steps = state.steps[first:]
+    return {s.span for s in steps if s.verdict in ("Suspect", "ConfirmedRootCause")}, steps
 
 
 def _visit(
@@ -277,12 +278,12 @@ def _visit(
     stage: str,
     context: str,
     depth: int,
-) -> set[str]:
+) -> None:
     if span.span_id in state.visited:
-        return set()
+        return
     if depth >= budget.max_depth or len(state.steps) >= budget.max_steps:
         state.truncated = True
-        return set()
+        return
     state.visited.add(span.span_id)
     instruction = policy.generate_instruction(span, context)
 
@@ -300,7 +301,7 @@ def _visit(
         calls = runtime.trace(span.span_id)
     except Exception:  # noqa: BLE001 - agent failures must not kill analysis
         record("Cleared", errored=True)
-        return set()
+        return
 
     view = sibling_view if sibling_view is not None else calls
     suspected = policy.suspect(span, view)
@@ -321,27 +322,25 @@ def _visit(
 
     if errored:
         record("Cleared", calls, errored=True)
-        return set()
+        return
 
     if confirmed:
         record("ConfirmedRootCause", calls, logs, metrics)
-        return {span.span_id}
+        return
 
     kids = policy.suspicious_children(span, calls)
     by_span = {c.child_span: c for c in calls}
     kids = [c for c in kids if c.child_span in by_span]  # enforce subset contract
     record("Suspect" if suspected else ("Expanded" if kids else "Cleared"), calls, logs, metrics)
 
-    candidates = {span.span_id} if suspected else set()
     for call in kids:
         child = runtime.store.span(call.child_span)
-        candidates |= _visit(
+        _visit(
             child, policy, runtime, budget, state,
             sibling_view=calls, stage=stage,
             context=f"suspicious child of {span.cmdb_id}/{span.operation}",
             depth=depth + 1,
         )
-    return candidates
 
 
 # -- initial reasoning and critical reflection ---------------------------------------
@@ -359,12 +358,7 @@ def initial_reasoning(
     accumulate into a frontier instead of terminating the walk."""
     state = RunState(cross_modal=False)
     recursive_rcl(entry, policy, runtime, budget, state, stage="Initial")
-    return Transcript(
-        alert_id=alert_id,
-        steps=state.steps,
-        stage_markers={"initial": len(state.steps), "reflection": 0,
-                       "truncated_initial": int(state.truncated)},
-    )
+    return Transcript(alert_id, state.steps, ("initial",) if state.truncated else ())
 
 
 def critical_reflection(
@@ -378,7 +372,7 @@ def critical_reflection(
     given seeds) with the full agent set. One shared visited set keeps
     overlapping re-entries from duplicating work."""
     if seed_spans is None:
-        seed_spans = [s.span for s in gamma0.steps if s.verdict == "Suspect" and not s.stale]
+        seed_spans = [s.span for s in gamma0.suspects]
     sibling_views: dict[str, list[ChildCall]] = {}
     for step in gamma0.steps:
         if step.stale:
@@ -403,12 +397,7 @@ def critical_reflection(
             span, policy, runtime, budget, state, sibling_view=view,
             stage="Reflection", context="reflection over a still-suspect span",
         )
-    return Transcript(
-        alert_id=gamma0.alert_id,
-        steps=state.steps,
-        stage_markers={"initial": 0, "reflection": len(state.steps),
-                       "truncated_reflection": int(state.truncated)},
-    )
+    return Transcript(gamma0.alert_id, state.steps, ("reflection",) if state.truncated else ())
 
 
 # -- per-alert orchestration -----------------------------------------------------------
@@ -515,13 +504,8 @@ def analyze_alert(
         )
     if seeds is None or seeds:
         reflection = critical_reflection(transcript, counting, runtime, budget, seeds)
-        steps = transcript.steps + reflection.steps
-        initial = [s.stage for s in steps].count("Initial")
-        transcript = Transcript(
-            alert_id=alert.alert_id,
-            steps=steps,
-            stage_markers={"initial": initial, "reflection": len(steps) - initial},
-        )
+        transcript = Transcript(alert.alert_id, transcript.steps + reflection.steps,
+                                tuple(dict.fromkeys(transcript.truncated + reflection.truncated)))
     ranking = consolidate(transcript.steps, topology, _weights(config))
 
     entry = MemoryEntry(
@@ -685,62 +669,68 @@ def _topology_snapshot(transcript: Transcript, topology: Topology) -> dict:
 
 
 def export_transcript(analysis: AlertAnalysis, topology: Topology) -> str:
-    """Replayable transcript document: ordered step records with evidence
-    digests, a topology snapshot, and the ranking the steps produced."""
-    doc = {
-        "alert_id": analysis.alert_id,
-        "stage_markers": dict(analysis.transcript.stage_markers),
-        "topology": _topology_snapshot(analysis.transcript, topology),
-        "steps": [
-            dict(s.as_dict(), evidence_digest=evidence_digest(s))
-            for s in analysis.transcript.steps
-        ],
-        "ranking": analysis.ranking.as_rows(),
-    }
+    """Replayable transcript document: the transcript's ``as_dict`` with an
+    evidence digest on each step, a topology snapshot, and the ranking the
+    steps produced."""
+    doc = analysis.transcript.as_dict()
+    for step, d in zip(analysis.transcript.steps, doc["steps"]):
+        d["evidence_digest"] = evidence_digest(step)
+    doc["topology"] = _topology_snapshot(analysis.transcript, topology)
+    doc["ranking"] = analysis.ranking.as_rows()
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def read_transcript(text: str) -> tuple[Transcript, Topology, list[dict]]:
+    """The transcript, topology snapshot and ranking rows of an exported
+    document; raises ``DataError`` for a malformed document or a step that
+    does not match its evidence digest."""
+    try:
+        doc = json.loads(text)
+        digests = [d.pop("evidence_digest") for d in doc["steps"]]
+        snapshot, rows = doc.pop("topology"), doc.pop("ranking")
+        for row in rows:  # the fields render_transcript formats
+            if not (isinstance(row["rank"], int) and isinstance(row["score"], (int, float))
+                    and isinstance(row["level"], str) and isinstance(row["root_cause"], str)):
+                raise TypeError(f"ranking row {row['rank']!r} has a field of the wrong type")
+        topology = Topology(pod_to_service=dict(snapshot["pod_to_service"]),
+                            pod_to_node=dict(snapshot["pod_to_node"]))
+        transcript = Transcript.from_dict(doc)
+    except KeyError as exc:
+        raise DataError(f"transcript lacks key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed transcript: {exc}") from None
+    for step, digest in zip(transcript.steps, digests):
+        if evidence_digest(step) != digest:
+            raise DataError(f"step {step.index} does not match its evidence digest")
+    return transcript, topology, rows
 
 
 def replay_transcript(text: str, config: Config) -> tuple[RootCauseRanking, list[dict]]:
     """Re-run final review over an exported transcript; returns the
     recomputed ranking and the stored rows for comparison."""
-    doc = json.loads(text)
-    steps = [Step.from_dict({k: v for k, v in s.items() if k != "evidence_digest"})
-             for s in doc["steps"]]
-    topology = Topology(
-        pod_to_service=dict(doc["topology"]["pod_to_service"]),
-        pod_to_node=dict(doc["topology"]["pod_to_node"]),
-    )
-    ranking = consolidate(steps, topology, _weights(config))
-    return ranking, doc["ranking"]
+    transcript, topology, rows = read_transcript(text)
+    return consolidate(transcript.steps, topology, _weights(config)), rows
 
 
 def render_transcript(text: str) -> str:
     """Human-readable rendering of an exported transcript document."""
-    doc = json.loads(text)
-    lines = [f"alert {doc['alert_id']}"]
-    for s in doc["steps"]:
-        flags = []
-        if s["stale"]:
-            flags.append("stale")
-        if s["errored"]:
-            flags.append("errored")
+    transcript, _, rows = read_transcript(text)
+    lines = [f"alert {transcript.alert_id}"]
+    for s in transcript.steps:
+        flags = [name for name, on in (("stale", s.stale), ("errored", s.errored)) if on]
         suffix = f" [{', '.join(flags)}]" if flags else ""
-        lines.append(
-            f"  [{s['index']:>3}] {s['stage']:<10} {s['pod']}/{s['op']}"
-            f" -> {s['verdict']}{suffix}"
-        )
-        lines.append(f"        {s['instruction']}")
-        if s["metric_evidence"]:
-            worst = max(s["metric_evidence"], key=lambda a: a["max_deviation"])
+        lines.append(f"  [{s.index:>3}] {s.stage:<10} {s.pod}/{s.op} -> {s.verdict}{suffix}")
+        lines.append(f"        {s.instruction}")
+        if s.metric_evidence:
+            worst = max(s.metric_evidence, key=lambda a: a.max_deviation)
             lines.append(
-                f"        metrics: {len(s['metric_evidence'])} anomalies, worst "
-                f"{worst['metric']}@{worst['component']} at "
-                f"{worst['max_deviation']:.2f} sigma"
+                f"        metrics: {len(s.metric_evidence)} anomalies, worst "
+                f"{worst.metric}@{worst.component} at {worst.max_deviation:.2f} sigma"
             )
-        if s["log_evidence"]:
-            lines.append(f"        logs: {len(s['log_evidence'])} relevant entries")
+        if s.log_evidence:
+            lines.append(f"        logs: {len(s.log_evidence)} relevant entries")
     lines.append("  ranking:")
-    for row in doc["ranking"]:
+    for row in rows:
         lines.append(
             f"    {row['rank']:>2}. {row['level']}:{row['root_cause']} "
             f"score={row['score']:.4f}"

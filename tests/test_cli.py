@@ -50,6 +50,12 @@ def test_nonpositive_timeout_factor_exits_two(tmp_path, capsys):
     assert "timeout_factor" in capsys.readouterr().err
 
 
+def test_window_without_a_half_window_exits_two(capsys):
+    # Agents look window_ms // 2 either side of an alert; 1 ms leaves 0.
+    assert run_cli("--window-ms", "1", "--print-config") == 2
+    assert "window_ms" in capsys.readouterr().err
+
+
 def test_generate_deterministic_directories(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("--seed", "7", "generate", "--out", str(out1)) == 0
@@ -213,9 +219,26 @@ def _drop_first_step_stale(path):
     path.write_text(json.dumps(doc))
 
 
+def _edit_first_step_instruction(path):
+    doc = json.loads(path.read_text())
+    doc["steps"][0]["instruction"] += " (edited)"
+    path.write_text(json.dumps(doc))
+
+
+def _make_first_score_text(path):
+    doc = json.loads(path.read_text())
+    doc["ranking"][0]["score"] = "high"
+    path.write_text(json.dumps(doc))
+
+
 MALFORMED_TRANSCRIPTS = {  # name -> (edit of an exported transcript file, stderr after the path)
     "not JSON": (lambda path: path.write_text("{not json"), "malformed transcript"),
     "step lacks stale": (_drop_first_step_stale, "transcript lacks key 'stale'"),
+    "step edited": (_edit_first_step_instruction, "step 0 does not match its evidence digest"),
+    "ranking score not a number": (_make_first_score_text, "malformed transcript"),
+    "steps not records": (lambda path: path.write_text(
+        path.read_text().replace('"steps": [', '"steps": [1, ', 1)), "malformed transcript"),
+    "not UTF-8": (lambda path: path.write_bytes(b"\xff" + path.read_bytes()), "malformed transcript"),
 }
 
 

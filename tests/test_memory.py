@@ -67,7 +67,6 @@ def make_entry(graph, alert_id=None, ts=T0, steps=None):
         steps=steps if steps is not None else [
             make_step(i, graph, nid) for i, nid in enumerate(node_ids)
         ],
-        stage_markers={"initial": len(steps or node_ids), "reflection": 0},
     )
     return MemoryEntry(
         f=fingerprint(graph),
@@ -439,6 +438,12 @@ def test_load_corrupted_record_names_line(tmp_path):
         Memory.load(path)
 
 
+@pytest.mark.parametrize("dim, alpha", [(4, 0.5), (64, 7.0), (64, -0.1), (64, float("nan"))])
+def test_memory_refuses_a_bad_dim_or_alpha(dim, alpha):
+    with pytest.raises(MemoryValidationError, match="dim" if dim < 8 else "alpha"):
+        Memory(dim=dim, alpha=alpha)
+
+
 def test_decision_kind_validated():
     with pytest.raises(MemoryValidationError):
         Decision(kind="Maybe", matched=None, similarity=0.5)
@@ -472,6 +477,12 @@ def _truncate(lines):
     del lines[-1]
 
 
+def _alpha_3(lines):
+    manifest = json.loads(lines[0])
+    manifest["alpha"] = 3.0
+    lines[0] = json.dumps(manifest)
+
+
 def _unknown_verdict(body):
     body["transcript"]["steps"][0]["verdict"] = "Maybe"
 
@@ -485,6 +496,9 @@ def _unknown_log_level(body):
 CORRUPTIONS = {  # name -> (edit of the file's lines, line the problem is on)
     "checksum mismatch": (_tamper, 3),
     "version 99": (_version_99, 1),
+    "alpha out of range": (_alpha_3, 1),
+    "stage markers disagree with the steps": (_reseal(
+        lambda body: body["transcript"]["stage_markers"].update(reflection=1)), 3),
     "truncated": (_truncate, 1),
     "missing key": (_reseal(lambda body: body.pop("timestamp_ms")), 3),
     "embedding length": (_reseal(lambda body: body["embedding"].append(0.0)), 3),

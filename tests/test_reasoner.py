@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -266,7 +267,7 @@ def test_initial_step_count_never_exceeds_full_walk(walkthrough):
 
 
 def test_critical_reflection_empty_without_suspects():
-    gamma0 = Transcript(alert_id="al", steps=[], stage_markers={"initial": 0, "reflection": 0})
+    gamma0 = Transcript(alert_id="al", steps=[])
     store = chain_store(depth=2)
     cfg = fast_config()
     runtime = runtime_for(store, cfg)
@@ -319,10 +320,8 @@ def test_final_review_unions_both_stages():
             verdict="ConfirmedRootCause",
         )
 
-    gamma0 = Transcript("al", [confirmed_step(0, "pod-a", "Initial")],
-                        {"initial": 1, "reflection": 0})
-    gamma1 = Transcript("al", [confirmed_step(1, "pod-b", "Reflection")],
-                        {"initial": 0, "reflection": 1})
+    gamma0 = Transcript("al", [confirmed_step(0, "pod-a", "Initial")])
+    gamma1 = Transcript("al", [confirmed_step(1, "pod-b", "Reflection")])
     ranking = consolidate(gamma0.steps + gamma1.steps, topo, _weights(fast_config()))
     got = {(c.level, c.root_cause) for c in ranking}
     assert ("pod", "pod-a") in got and ("pod", "pod-b") in got
@@ -330,8 +329,8 @@ def test_final_review_unions_both_stages():
 
 def test_final_review_empty_transcripts():
     topo = make_topology({"pod-a": ("svc-a", "n1")})
-    gamma0 = Transcript("al", [], {"initial": 0, "reflection": 0})
-    gamma1 = Transcript("al", [], {"initial": 0, "reflection": 0})
+    gamma0 = Transcript("al", [])
+    gamma1 = Transcript("al", [])
     assert consolidate(gamma0.steps + gamma1.steps, topo, _weights(fast_config())) == []
 
 
@@ -550,6 +549,27 @@ def test_transcript_export_replay_round_trip(walkthrough):
     assert json.loads(text)["alert_id"] == alert.alert_id
 
 
+def test_budget_truncation_is_reported_exported_stored_and_reused(walkthrough, tmp_path):
+    store, alert = walkthrough
+    cfg = fast_config(max_steps=2)
+    mem = Memory(dim=cfg.embedding_dim)
+    fresh = analyze_alert(alert, store, store.topology, mem, deterministic_policy(cfg), cfg)
+    assert fresh.decision.kind == "Fresh"
+    markers = fresh.transcript.stage_markers
+    assert markers["truncated_initial"] == 1
+    text = export_transcript(fresh, store.topology)
+    assert json.loads(text)["stage_markers"] == markers
+    recomputed, stored_rows = replay_transcript(text, cfg)
+    assert recomputed.as_rows() == stored_rows
+
+    mem.persist(tmp_path / "memory.jsonl")
+    loaded = Memory.load(tmp_path / "memory.jsonl")
+    assert loaded.by_alert(alert.alert_id).transcript.stage_markers == markers
+    reuse = analyze_alert(alert, store, store.topology, loaded, deterministic_policy(cfg), cfg)
+    assert reuse.decision.kind == "Reuse"
+    assert reuse.transcript.stage_markers == markers
+
+
 def test_render_transcript_separates_flags_with_comma_space(walkthrough):
     store, alert = walkthrough
     cfg = fast_config()
@@ -557,11 +577,9 @@ def test_render_transcript_separates_flags_with_comma_space(walkthrough):
         alert, store, store.topology, Memory(dim=cfg.embedding_dim),
         deterministic_policy(cfg), cfg,
     )
-    doc = json.loads(export_transcript(analysis, store.topology))
-    doc["steps"][0].update(stale=True, errored=True)
-    for step in doc["steps"][1:]:
-        step.update(stale=False, errored=False)
-    lines = render_transcript(json.dumps(doc)).splitlines()
+    steps = analysis.transcript.steps
+    steps[:] = [dataclasses.replace(s, stale=i == 0, errored=i == 0) for i, s in enumerate(steps)]
+    lines = render_transcript(export_transcript(analysis, store.topology)).splitlines()
     flagged = [ln for ln in lines if "[stale" in ln]
     assert len(flagged) == 1
     assert flagged[0].endswith(" [stale, errored]")
