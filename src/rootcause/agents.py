@@ -318,8 +318,8 @@ def metric_agent(
             if _baseline_cache is not None:
                 baseline = _baseline_cache.get(cache_key)
             if baseline is None:
-                hist = store.metric_series(comp, metric, t0 - baseline_ms, t0 - delta - 1)
-                baseline = mean_std([s.value for s in hist]) if hist else ()
+                _, hist = store.metric_window(comp, metric, t0 - baseline_ms, t0 - delta - 1)
+                baseline = mean_std(hist) if hist else ()
                 if _baseline_cache is not None:
                     _baseline_cache[cache_key] = baseline
             if baseline == ():
@@ -330,22 +330,20 @@ def metric_agent(
                 continue
             mu, sd = baseline
             sd_f = max(sd, sigma_floor)
-            window = store.metric_series(comp, metric, t0 - delta, t0 + delta)
-            if not window:
-                continue
+            times, values = store.metric_window(comp, metric, t0 - delta, t0 + delta)
             max_dev = 0.0
             first = None
-            for s in window:
-                dev = abs(s.value - mu) / sd_f
+            for t, v in zip(times, values):
+                dev = abs(v - mu) / sd_f
                 if dev > max_dev:
                     max_dev = dev
-                if first is None and abs(s.value - mu) > n * sd_f:
-                    first = s.timestamp
+                if first is None and abs(v - mu) > n * sd_f:
+                    first = t
             if first is not None:
                 anomalies.append(MetricAnomaly(
                     component=comp,
                     metric=metric,
-                    series=tuple((s.timestamp, s.value) for s in window),
+                    series=tuple(zip(times, values)),
                     baseline=(mu, sd),
                     max_deviation=max_dev,
                     first_exceed=first,

@@ -23,11 +23,12 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, GraphConstructionError
-from .telemetry import Alert, TelemetryStore, Topology, slice_window
+from .telemetry import Alert, TelemetryStore, Topology
 
 WL_ROUNDS = 3
 EMBED_SEED = b"rootcause-wl-embed-v1"  # fixed feature-hashing key, documented
@@ -122,32 +123,28 @@ def extract(
     topology = topology or store.topology
     spans = store.trace(alert.trace_id)  # NotFoundError for unknown traces
     half = window_ms // 2
+    if half <= 0:
+        raise DataError(f"extract half-window must be > 0, got {half}")
     window = (alert.timestamp - half, alert.timestamp + half)
 
     by_key: dict[str, list] = {}
     for s in sorted(spans, key=lambda s: (s.start_time, s.span_id)):
         by_key.setdefault(node_id_for(s.cmdb_id, s.operation), []).append(s)
 
+    summaries: dict[str, tuple[dict, dict]] = {}  # nodes of one pod share them
     nodes: dict[str, NodeAttributes] = {}
     for nid in sorted(by_key):
         members = by_key[nid]
         pod = members[0].cmdb_id
-        logs, metrics = slice_window(store, alert.timestamp, half, pod)
-        series: dict[str, list[float]] = {}
-        for m in metrics:
-            series.setdefault(m.metric, []).append(m.value)
-        metric_summary = {
-            name: mean_std(vals) for name, vals in sorted(series.items())
-        }
-        log_summary: dict[str, int] = {}
-        for entry in logs:
-            log_summary[entry.kind] = log_summary.get(entry.kind, 0) + 1
+        if pod not in summaries:
+            summaries[pod] = _summaries(store, pod, *window)
+        metric_summary, log_summary = summaries[pod]
         nodes[nid] = NodeAttributes(
             service_id=members[0].service,
             pod_id=pod,
             op_name=members[0].operation,
             metric_summary=metric_summary,
-            log_summary=dict(sorted(log_summary.items())),
+            log_summary=log_summary,
             span_ids=tuple(s.span_id for s in members),
         )
 
@@ -176,7 +173,22 @@ def extract(
     )
 
 
-def mean_std(vals: list[float]) -> tuple[float, float]:
+def _summaries(
+    store: TelemetryStore, pod: str, t_lo: int, t_hi: int
+) -> tuple[dict[str, tuple[float, float]], dict[str, int]]:
+    """A pod's metric (mean, std) and log-kind counts within [t_lo, t_hi]."""
+    metric_summary = {}
+    for name in store.metrics_of(pod):
+        _, values = store.metric_window(pod, name, t_lo, t_hi)
+        if values:
+            metric_summary[name] = mean_std(values)
+    log_summary: dict[str, int] = {}
+    for entry in store.logs_between(pod, t_lo, t_hi):
+        log_summary[entry.kind] = log_summary.get(entry.kind, 0) + 1
+    return metric_summary, dict(sorted(log_summary.items()))
+
+
+def mean_std(vals: Sequence[float]) -> tuple[float, float]:
     """Population mean and standard deviation of a non-empty sample."""
     mu = sum(vals) / len(vals)
     return mu, math.sqrt(sum((v - mu) ** 2 for v in vals) / len(vals))

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .config import LlmConfig
 from .errors import ConfigError, ReplayMissError
@@ -76,11 +78,19 @@ def request_digest(body: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+BACKOFF_S = 0.5  # the pause before the first retry; it doubles per retry
+BACKOFF_MAX_S = 8.0
+
+
 class HttpTransport:
     """Plain chat-completions client over urllib; no streaming. Retries
-    only connection errors, timeouts and HTTP 408, 429 and 5xx."""
+    only connection errors, timeouts and HTTP 408, 429 and 5xx.
 
-    def __init__(self, config: LlmConfig):
+    Before a retry it waits the server's ``Retry-After`` seconds, else an
+    exponential backoff from ``BACKOFF_S`` up to ``BACKOFF_MAX_S``; never
+    longer than ``llm.timeout``. ``sleep`` does the waiting."""
+
+    def __init__(self, config: LlmConfig, sleep: Callable[[float], None] = time.sleep):
         config.validate()
         if not config.endpoint:
             raise ConfigError("llm.endpoint is not configured")
@@ -92,11 +102,14 @@ class HttpTransport:
                 "the policy backend needs an API key"
             )
         self._key = key
+        self._sleep = sleep
 
     def send(self, body: dict) -> dict:
         data = json.dumps(body).encode()
         last_error: Exception | None = None
-        for _ in range(self.config.max_retries + 1):
+        for attempt in range(self.config.max_retries + 1):
+            if last_error is not None:
+                self._sleep(self._pause(attempt, last_error))
             req = urllib.request.Request(
                 self.config.endpoint,
                 data=data,
@@ -120,6 +133,19 @@ class HttpTransport:
             except (urllib.error.URLError, TimeoutError) as exc:
                 last_error = exc
         raise last_error if last_error else ConfigError("transport failed without error")
+
+    def _pause(self, attempt: int, error: Exception) -> float:
+        """Seconds to wait before attempt number ``attempt`` (1 is the first retry)."""
+        pause = min(BACKOFF_S * 2 ** (attempt - 1), BACKOFF_MAX_S)
+        headers = getattr(error, "headers", None)
+        if headers:
+            try:
+                retry_after = float(headers.get("Retry-After", ""))
+            except ValueError:  # absent, or an HTTP date
+                retry_after = math.nan
+            if retry_after >= 0:  # False for NaN
+                pause = retry_after
+        return min(pause, self.config.timeout)
 
 
 class RecordingTransport:
@@ -216,9 +242,17 @@ def _metrics_block(anomalies) -> str:
 
 @dataclass
 class LlmEvents:
+    """Counts of a policy's requests, repair rounds and fallbacks; ``count``
+    is safe to call from the ``--parallel`` threads."""
+
     requests: int = 0
     fallbacks: int = 0
     repairs: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def count(self, event: str) -> None:
+        with self._lock:
+            setattr(self, event, getattr(self, event) + 1)
 
 
 class LlmPolicy(PolicyContract):
@@ -254,7 +288,7 @@ class LlmPolicy(PolicyContract):
 
     def _round_trip(self, body: dict, op: str) -> dict | None:
         with self._gate:
-            self.events.requests += 1
+            self.events.count("requests")
             response = self.transport.send(body)
         try:
             content = response["choices"][0]["message"]["content"]
@@ -282,7 +316,7 @@ class LlmPolicy(PolicyContract):
             verdict = self._round_trip(self._body(prompt), op)
             if verdict is not None:
                 return verdict
-            self.events.repairs += 1
+            self.events.count("repairs")
             verdict = self._round_trip(self._body(prompt + "\n\n" + REPAIR_PROMPT), op)
             if verdict is not None:
                 return verdict
@@ -290,7 +324,7 @@ class LlmPolicy(PolicyContract):
             raise
         except Exception:  # noqa: BLE001 - transport trouble degrades, never kills
             pass
-        self.events.fallbacks += 1
+        self.events.count("fallbacks")
         return None
 
     # -- contract -----------------------------------------------------

@@ -15,11 +15,20 @@ Each rule on the data is checked in exactly one of three layers:
   and a ``cmdb_id`` that ``topology.csv`` lists twice;
 - each record (:class:`Span`, :class:`LogEntry`, :class:`MetricSample`,
   :class:`Alert`) checks its own fields when it is made, however it is
-  made: positive timestamps, a non-negative duration, a known log level,
-  a finite metric value;
+  made: positive timestamps, a non-negative duration, a known log level.
+  Ingest builds no :class:`MetricSample`: a metric row goes straight into
+  its series' columns (:class:`MetricColumns`), and both check the metric
+  rules (a positive timestamp, a finite value) in one function,
+  :func:`check_metric`;
 - the store checks the rules that span several records: unique span and
   alert ids, parents inside the same trace, one root and no cycle per
   trace, topology coverage, and alert bindings.
+
+Metric samples are stored as columns: one timestamp array and one value
+array per (component, metric) series, each sorted once by timestamp. The
+readers slice them with :meth:`TelemetryStore.metric_window`;
+:meth:`TelemetryStore.metric_series`, :func:`slice_window` and
+``store.metrics`` build :class:`MetricSample` records on demand.
 
 The store is immutable after ingest and safe for unrestricted concurrent
 reads; ingest itself is single-threaded per store instance.
@@ -30,9 +39,10 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, KeysView, TypeVar
+from typing import Callable, KeysView, Sequence, TypeVar
 
 from .errors import DataError, NotFoundError
 
@@ -101,6 +111,14 @@ class LogEntry:
             )
 
 
+def check_metric(timestamp: int, component: str, metric: str, value: float) -> None:
+    """The rules on one metric sample, however it arrives."""
+    if timestamp <= 0:
+        raise DataError(f"metric {metric}@{component}: field timestamp_ms must be > 0")
+    if not math.isfinite(value):
+        raise DataError(f"metric {metric}@{component}: field value must be finite")
+
+
 @dataclass(frozen=True)
 class MetricSample:
     timestamp: int
@@ -109,10 +127,48 @@ class MetricSample:
     value: float
 
     def __post_init__(self):
-        if self.timestamp <= 0:
-            raise DataError(f"metric {self.metric}@{self.component}: field timestamp_ms must be > 0")
-        if not math.isfinite(self.value):
-            raise DataError(f"metric {self.metric}@{self.component}: field value must be finite")
+        check_metric(self.timestamp, self.component, self.metric, self.value)
+
+
+class MetricColumns:
+    """Metric samples grouped by (component, metric) into a timestamp list
+    and a value array each, in arrival order."""
+
+    def __init__(self):
+        self.series: dict[tuple[str, str], tuple[list[int], array]] = {}
+
+    def add(self, timestamp: int, component: str, metric: str, value: float) -> None:
+        check_metric(timestamp, component, metric, value)
+        columns = self.series.get((component, metric))
+        if columns is None:
+            columns = self.series[(component, metric)] = ([], array("d"))
+        columns[0].append(timestamp)
+        columns[1].append(value)
+
+    def row(self, ts: str, cmdb: str, metric: str, value: str) -> None:
+        """One ``metrics.csv`` row: its fields parsed, then ``add`` inlined,
+        since ingest spends most of its time here."""
+        try:
+            timestamp = int(ts)
+        except ValueError:
+            timestamp = _int(ts, "timestamp_ms")
+        try:
+            number = float(value)
+        except ValueError:
+            number = _float(value, "value")
+        check_metric(timestamp, cmdb, metric, number)
+        columns = self.series.get((cmdb, metric))
+        if columns is None:
+            columns = self.series[(cmdb, metric)] = ([], array("d"))
+        columns[0].append(timestamp)
+        columns[1].append(number)
+
+    @classmethod
+    def of(cls, samples) -> "MetricColumns":
+        out = cls()
+        for m in samples:
+            out.add(m.timestamp, m.component, m.metric, m.value)
+        return out
 
 
 @dataclass(frozen=True)
@@ -225,26 +281,46 @@ class TelemetryStore:
     """Immutable, indexed view over one ingested data set.
 
     Record tuples are never mutated after construction; every index is
-    derived once here and shared by concurrent readers.
+    derived once here and shared by concurrent readers. ``metrics`` takes
+    :class:`MetricSample` records or the :class:`MetricColumns` that
+    ``ingest`` builds; either way each series is kept as its columns,
+    sorted stably by timestamp, so samples with equal timestamps keep
+    their arrival order.
     """
 
     def __init__(
         self,
         spans: list[Span] | tuple[Span, ...],
         logs: list[LogEntry] | tuple[LogEntry, ...],
-        metrics: list[MetricSample] | tuple[MetricSample, ...],
+        metrics: list[MetricSample] | tuple[MetricSample, ...] | MetricColumns,
         alerts: list[Alert] | tuple[Alert, ...],
         topology: Topology,
     ):
         self.spans = tuple(sorted(spans, key=lambda s: (s.trace_id, s.start_time, s.span_id)))
         self.logs = tuple(sorted(logs, key=lambda e: (e.timestamp, e.component, e.kind)))
-        self.metrics = tuple(
-            sorted(metrics, key=lambda m: (m.component, m.metric, m.timestamp))
-        )
         self.alerts = tuple(sorted(alerts, key=lambda a: (a.timestamp, a.alert_id)))
         self.topology = topology
+
+        if not isinstance(metrics, MetricColumns):
+            metrics = MetricColumns.of(metrics)
+        self._metric_series: dict[tuple[str, str], tuple[Sequence[int], array]] = {}
+        self._metrics_of: dict[str, list[str]] = {}
+        for key in sorted(metrics.series):
+            times, values = metrics.series[key]
+            if times != sorted(times):
+                order = sorted(range(len(times)), key=times.__getitem__)
+                times = [times[i] for i in order]
+                values = array("d", [values[i] for i in order])
+            try:
+                times = array("q", times)
+            except OverflowError:
+                pass  # a timestamp past 64 bits; the series keeps its list
+            self._metric_series[key] = (times, values)
+            self._metrics_of.setdefault(key[0], []).append(key[1])
+
         self.report = IngestReport(
-            spans=len(self.spans), logs=len(self.logs), metrics=len(self.metrics),
+            spans=len(self.spans), logs=len(self.logs),
+            metrics=sum(len(times) for times, _ in self._metric_series.values()),
             alerts=len(self.alerts), topology_entries=len(topology.pod_to_service),
         )
 
@@ -269,16 +345,6 @@ class TelemetryStore:
             c: [e.timestamp for e in entries]
             for c, entries in self._logs_by_component.items()
         }
-
-        self._metric_series: dict[tuple[str, str], list[MetricSample]] = {}
-        for sample in self.metrics:
-            self._metric_series.setdefault((sample.component, sample.metric), []).append(sample)
-        self._metric_times: dict[tuple[str, str], list[int]] = {
-            k: [s.timestamp for s in series] for k, series in self._metric_series.items()
-        }
-        self._metrics_of: dict[str, list[str]] = {}
-        for comp, metric in sorted(self._metric_series):
-            self._metrics_of.setdefault(comp, []).append(metric)
 
         self._alert_by_id: dict[str, Alert] = {}
         for a in self.alerts:
@@ -370,20 +436,37 @@ class TelemetryStore:
                 return s
         raise NotFoundError(f"trace {trace_id} has no root span")
 
+    @property
+    def metrics(self) -> tuple[MetricSample, ...]:
+        """Every metric sample, ordered by (component, metric, timestamp),
+        built anew on each access."""
+        return tuple(
+            MetricSample(t, comp, metric, v)
+            for (comp, metric), (times, values) in self._metric_series.items()
+            for t, v in zip(times, values)
+        )
+
     def metrics_of(self, component: str) -> list[str]:
         return list(self._metrics_of.get(component, []))
+
+    def metric_window(
+        self, component: str, metric: str, t_lo: int, t_hi: int
+    ) -> tuple[Sequence[int], Sequence[float]]:
+        """Timestamps and values of one series within the closed [t_lo, t_hi]."""
+        series = self._metric_series.get((component, metric))
+        if series is None:
+            return (), ()
+        times, values = series
+        lo = bisect.bisect_left(times, t_lo)
+        hi = bisect.bisect_right(times, t_hi)
+        return times[lo:hi], values[lo:hi]
 
     def metric_series(
         self, component: str, metric: str, t_lo: int, t_hi: int
     ) -> list[MetricSample]:
         """Samples for one series with timestamp in the closed [t_lo, t_hi]."""
-        series = self._metric_series.get((component, metric))
-        if not series:
-            return []
-        times = self._metric_times[(component, metric)]
-        lo = bisect.bisect_left(times, t_lo)
-        hi = bisect.bisect_right(times, t_hi)
-        return series[lo:hi]
+        times, values = self.metric_window(component, metric, t_lo, t_hi)
+        return [MetricSample(t, component, metric, v) for t, v in zip(times, values)]
 
     def logs_between(self, component: str, t_lo: int, t_hi: int) -> list[LogEntry]:
         entries = self._logs_by_component.get(component)
@@ -453,22 +536,17 @@ def _log(ts, cmdb, level, kind, message) -> LogEntry:
     return LogEntry(_int(ts, "timestamp_ms"), cmdb, level, kind, message)
 
 
-def _metric(ts, cmdb, metric, value) -> MetricSample:
-    return MetricSample(_int(ts, "timestamp_ms"), cmdb, metric, _float(value, "value"))
-
-
 def _alert(alert_id, ts, trace_id, entry_span_id, description) -> Alert:
     return Alert(alert_id, _int(ts, "timestamp_ms"), trace_id, entry_span_id, description)
 
 
-def _read(path: Path, header: list[str], make: Callable[..., T]) -> list[T]:
-    """``make(*fields)`` for each data row of a telemetry CSV, in file order.
+def _read(path: Path, header: list[str], add: Callable[..., None]) -> None:
+    """``add(*fields)`` for each data row of a telemetry CSV, in file order.
 
     Blank lines are skipped. Every refusal, the reader's own or a
-    ``DataError`` from ``make``, is a ``DataError`` naming ``path:line``,
+    ``DataError`` from ``add``, is a ``DataError`` naming ``path:line``,
     where line is the physical line the offending row starts on.
     """
-    records: list[T] = []
     line = 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -478,16 +556,15 @@ def _read(path: Path, header: list[str], make: Callable[..., T]) -> list[T]:
                 found = "empty file" if first is None else f"bad header {','.join(first)!r}"
                 raise DataError(f"{path}:1: {found}, expected {','.join(header)!r}")
             line = rows.line_num + 1
+            width = len(header)
             for row in rows:
-                if row:
-                    if len(row) != len(header):
-                        raise DataError(
-                            f"{path}:{line}: expected {len(header)} fields, got {len(row)}"
-                        )
+                if len(row) == width:
                     try:
-                        records.append(make(*row))
+                        add(*row)
                     except DataError as exc:
                         raise DataError(f"{path}:{line}: {exc}") from None
+                elif row:
+                    raise DataError(f"{path}:{line}: expected {width} fields, got {len(row)}")
                 line = rows.line_num + 1
     except csv.Error as exc:
         raise DataError(f"{path}:{line}: {exc}") from None
@@ -503,7 +580,6 @@ def _read(path: Path, header: list[str], make: Callable[..., T]) -> list[T]:
         raise DataError(f"{path}:{line}: not UTF-8: {exc.reason}") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
-    return records
 
 
 def _bind_alerts(alerts: list[Alert], spans: list[Span], window_ms: int) -> list[Alert]:
@@ -547,14 +623,21 @@ def ingest(data_dir: str | Path, window_ms: int = 60_000) -> TelemetryStore:
     if not root.is_dir():
         raise DataError(f"telemetry directory not found: {root}")
 
-    def read(name: str, header: list[str], make: Callable[..., T]) -> list[T]:
+    def read(name: str, header: list[str], add: Callable[..., None]) -> None:
         path = root / FILE_NAMES[name]
-        return _read(path, header, make) if path.exists() else []
+        if path.exists():
+            _read(path, header, add)
 
-    spans = read("traces", TRACE_HEADER, _span)
-    logs = read("logs", LOG_HEADER, _log)
-    metrics = read("metrics", METRIC_HEADER, _metric)
-    alerts = read("alerts", ALERT_HEADER, _alert)
+    def records(name: str, header: list[str], make: Callable[..., T]) -> list[T]:
+        out: list[T] = []
+        read(name, header, lambda *fields: out.append(make(*fields)))
+        return out
+
+    spans = records("traces", TRACE_HEADER, _span)
+    logs = records("logs", LOG_HEADER, _log)
+    metrics = MetricColumns()
+    read("metrics", METRIC_HEADER, metrics.row)
+    alerts = records("alerts", ALERT_HEADER, _alert)
     topo_path = root / FILE_NAMES["topology"]
     if spans and not topo_path.exists():
         raise DataError(f"missing telemetry file: {topo_path}")

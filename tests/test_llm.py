@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -10,7 +12,10 @@ from rootcause.agents import ChildCall
 from rootcause.config import Config, LlmConfig
 from rootcause.errors import ConfigError, ReplayMissError
 from rootcause.llm import (
+    BACKOFF_MAX_S,
+    BACKOFF_S,
     HttpTransport,
+    LlmEvents,
     LlmPolicy,
     RecordingTransport,
     ReplayTransport,
@@ -280,7 +285,120 @@ def test_http_transport_retries_only_transient_failures(monkeypatch, failure, at
 
     monkeypatch.setattr(urllib.request, "urlopen", failing_urlopen)
     config = LlmConfig(endpoint="http://127.0.0.1:9/chat", model="m", max_retries=2)
-    policy = LlmPolicy(config, transport=HttpTransport(config))
+    slept = []
+    policy = LlmPolicy(config, transport=HttpTransport(config, sleep=slept.append))
     assert policy.suspect(make_span(span_id="s1", status=13), []) is True  # the fallback
     assert len(sent) == attempts
+    assert slept == [BACKOFF_S, 2 * BACKOFF_S][:attempts - 1]
     assert policy.events.fallbacks == 1 and policy.events.repairs == 0
+
+
+class ScriptedUrlopen:
+    """Stands in for urlopen: raises or answers each attempt in turn."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.attempts = 0
+
+    def __call__(self, req, timeout):
+        self.attempts += 1
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return io.BytesIO(json.dumps(
+            {"choices": [{"message": {"content": reply}}]}).encode())
+
+
+def http_error(code, headers=None):
+    return urllib.error.HTTPError("http://127.0.0.1:9/chat", code, "busy", headers or {}, None)
+
+
+def http_transport(monkeypatch, urlopen, **config):
+    monkeypatch.setenv("ROOTCAUSE_API_KEY", "test-key")
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    slept = []
+    config = LlmConfig(endpoint="http://127.0.0.1:9/chat", model="m", **config)
+    return HttpTransport(config, sleep=slept.append), slept
+
+
+def test_http_transport_backs_off_after_a_503_then_answers(monkeypatch):
+    verdict = json.dumps({"decision": True, "rationale": "r"})
+    urlopen = ScriptedUrlopen(http_error(503), verdict)
+    transport, slept = http_transport(monkeypatch, urlopen)
+    policy = LlmPolicy(transport.config, transport=transport)
+    assert policy.suspect(make_span(span_id="s1", status=0), []) is True  # the model's answer
+    assert urlopen.attempts == 2 and slept == [BACKOFF_S]
+    assert policy.events.requests == 1 and policy.events.fallbacks == 0
+
+
+@pytest.mark.parametrize("retry_after, timeout, pause", [
+    ("2", 30.0, 2.0), ("0", 30.0, 0.0), ("600", 5.0, 5.0),
+    ("Wed, 21 Oct 2026 07:28:00 GMT", 30.0, BACKOFF_S), ("-3", 30.0, BACKOFF_S),
+])
+def test_http_transport_honours_retry_after_up_to_the_timeout(
+        monkeypatch, retry_after, timeout, pause):
+    verdict = json.dumps({"decision": False, "rationale": "r"})
+    urlopen = ScriptedUrlopen(http_error(429, {"Retry-After": retry_after}), verdict)
+    transport, slept = http_transport(monkeypatch, urlopen, timeout=timeout)
+    assert transport.send({"messages": []})["choices"][0]["message"]["content"] == verdict
+    assert slept == [pause]
+
+
+def test_http_transport_backoff_doubles_up_to_its_bound(monkeypatch):
+    urlopen = ScriptedUrlopen(*[http_error(503)] * 8)
+    transport, slept = http_transport(monkeypatch, urlopen, max_retries=7, timeout=6.0)
+    with pytest.raises(urllib.error.HTTPError):
+        transport.send({"messages": []})
+    assert urlopen.attempts == 8
+    expected = [min(BACKOFF_S * 2 ** i, BACKOFF_MAX_S, 6.0) for i in range(7)]
+    assert slept == expected and max(slept) == 6.0
+
+
+class SpanScriptedTransport:
+    """Answers by the span id in the prompt: ``good`` spans get a verdict,
+    ``bad`` spans a malformed reply, ``down`` spans a transport failure."""
+
+    def send(self, body):
+        prompt = body["messages"][1]["content"]
+        if "id=down" in prompt:
+            raise OSError("connection reset")
+        content = "not json" if "id=bad" in prompt else '{"decision": true, "rationale": "r"}'
+        return {"choices": [{"message": {"content": content}}]}
+
+
+def test_event_counters_are_exact_under_threads():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so an unguarded += loses counts
+    policy = LlmPolicy(LlmConfig(), transport=SpanScriptedTransport(), max_inflight=8)
+    kinds = ("good", "bad", "down")
+    threads, asks = 8, 500
+
+    def ask(t):
+        for i in range(asks):
+            policy.suspect(make_span(span_id=f"{kinds[i % 3]}-{t}-{i}", status=13), [])
+
+    try:
+        workers = [threading.Thread(target=ask, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    per_kind = {k: threads * sum(1 for i in range(asks) if kinds[i % 3] == k) for k in kinds}
+    assert policy.events.requests == per_kind["good"] + 2 * per_kind["bad"] + per_kind["down"]
+    assert policy.events.repairs == per_kind["bad"]
+    assert policy.events.fallbacks == per_kind["bad"] + per_kind["down"]
+
+
+def test_event_count_waits_for_the_lock():
+    # The threaded test above rarely catches a lost update, so pin the guard itself.
+    events = LlmEvents()
+    with events._lock:
+        bump = threading.Thread(target=events.count, args=("fallbacks",))
+        bump.start()
+        bump.join(0.05)
+        assert bump.is_alive() and events.fallbacks == 0
+    bump.join(5)
+    assert not bump.is_alive() and events.fallbacks == 1

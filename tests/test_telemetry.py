@@ -1,9 +1,15 @@
+import csv
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootcause.errors import DataError, NotFoundError
 from rootcause.telemetry import (
+    METRIC_HEADER,
     Alert,
     AlertWindow,
     LogEntry,
@@ -229,3 +235,70 @@ def test_alert_window_invariants():
         AlertWindow(start=10, end=10, alerts=())
     with pytest.raises(DataError):
         AlertWindow(start=0, end=5, alerts=(Alert("a", 9, "t", "s", ""),))
+
+
+COMPONENTS = ("pod-a", "pod-b", "node-1")
+METRICS = ("cpu", "mem", "rt_ms")
+# Few distinct timestamps, so a series repeats them and ties must keep file order.
+METRIC_ROW = st.tuples(
+    st.integers(1, 30), st.sampled_from(COMPONENTS), st.sampled_from(METRICS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _write_metrics(root: Path, rows) -> None:
+    with open(root / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRIC_HEADER)
+        writer.writerows((t, comp, metric, repr(v)) for t, comp, metric, v in rows)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(METRIC_ROW, max_size=80),
+    st.randoms(use_true_random=False),
+    st.lists(st.tuples(st.integers(0, 32), st.integers(1, 16)), min_size=1, max_size=4),
+)
+def test_ingested_columns_equal_the_records_store(rows, rng, windows):
+    rng.shuffle(rows)
+    records = [MetricSample(*row) for row in rows]
+    # The order the store has always promised: a stable sort of the records.
+    ordered = sorted(records, key=lambda m: (m.component, m.metric, m.timestamp))
+    built = TelemetryStore([], [], records, [], Topology({}, {}))
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_metrics(Path(tmp), rows)
+        ingested = ingest(tmp)
+        assert ingested.report.metrics == len(rows)
+        assert ingested.metrics == built.metrics == tuple(ordered)
+        export(ingested, Path(tmp) / "out")
+        assert ingest(Path(tmp) / "out").metrics == tuple(ordered)
+    for t0, delta in windows:
+        for comp in COMPONENTS:
+            assert slice_window(ingested, t0, delta, comp) == slice_window(built, t0, delta, comp)
+            for metric in METRICS:
+                want = [m for m in ordered if m.component == comp and m.metric == metric
+                        and t0 - delta <= m.timestamp <= t0 + delta]
+                got = ingested.metric_series(comp, metric, t0 - delta, t0 + delta)
+                assert got == built.metric_series(comp, metric, t0 - delta, t0 + delta) == want
+                times, values = ingested.metric_window(comp, metric, t0 - delta, t0 + delta)
+                assert list(zip(times, values)) == [(m.timestamp, m.value) for m in want]
+
+
+def test_ingest_builds_no_metric_sample(tmp_path, monkeypatch):
+    export(walkthrough_store(), tmp_path)
+
+    def refuse(self):
+        raise AssertionError("ingest built a MetricSample")
+
+    monkeypatch.setattr(MetricSample, "__post_init__", refuse)
+    store = ingest(tmp_path)
+    times, values = store.metric_window("frontend", "err_rate", T0 - 5_000, T0 + 5_000)
+    assert store.report.metrics > 0 and len(times) == len(values) > 0
+
+
+def test_metric_timestamp_past_64_bits_is_kept(tmp_path):
+    big = 2 ** 64 + 5
+    _write_metrics(tmp_path, [(big, "pod-a", "cpu", 1.5), (7, "pod-a", "cpu", 2.5)])
+    store = ingest(tmp_path)
+    times, values = store.metric_window("pod-a", "cpu", 1, big)
+    assert list(times) == [7, big] and list(values) == [2.5, 1.5]
