@@ -6,9 +6,9 @@ around a timestamp, and the metric agent runs an n-sigma test against a
 historical baseline for the component and its related entities (its
 service and host node for a pod). A ``Step`` records one span's verdict
 with that evidence, and a ``Transcript`` orders the steps of one alert;
-the reasoner writes them, memory stores and remaps them, and their JSON
-form (``as_dict``/``from_dict``) is read off their fields, and a
-transcript's stage markers off its steps. The
+the reasoner writes them, memory stores and remaps them, their JSON form
+is written by ``as_dict`` and read by ``records.read_record`` off their
+fields, and a transcript's stage markers off its steps. The
 consolidator is a pure function from steps to a ranked candidate list; it
 never touches the store, which is what makes the final review stage
 auditable.
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .config import DEFAULT_LOG_PATTERNS
 from .errors import DataError
 from .graph import SIGMA_FLOOR, mean_std
+from .records import read_record
 from .telemetry import LogEntry, TelemetryStore, Topology, children_of
 
 ALERTING_LEVELS = ("WARN", "ERROR", "FATAL")
@@ -54,11 +55,6 @@ class MetricAnomaly:
     def as_dict(self) -> dict:
         return {**vars(self), "series": [list(p) for p in self.series],
                 "baseline": list(self.baseline)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricAnomaly":
-        return cls(**{**d, "series": tuple(map(tuple, d["series"])),
-                      "baseline": tuple(d["baseline"])})
 
 
 # -- the reasoning transcript ------------------------------------------------------
@@ -101,18 +97,6 @@ class Step:
             "metric_evidence": [a.as_dict() for a in self.metric_evidence],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Step":
-        """The step ``as_dict`` wrote; the defaulted flags must be present too."""
-        return cls(**{
-            **d,
-            "trace_evidence": tuple(ChildCall(**c) for c in d["trace_evidence"]),
-            "log_evidence": tuple(LogEntry(**e) for e in d["log_evidence"]),
-            "metric_evidence": tuple(MetricAnomaly.from_dict(a) for a in d["metric_evidence"]),
-            "errored": d["errored"],
-            "stale": d["stale"],
-        })
-
 
 @dataclass
 class Transcript:
@@ -145,16 +129,23 @@ class Transcript:
                 "steps": [s.as_dict() for s in self.steps]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Transcript":
-        """The transcript ``as_dict`` wrote, if its steps bear out its stage markers."""
-        fields = dict(d)
-        markers = fields.pop("stage_markers")
-        fields["steps"] = [Step.from_dict(s) for s in fields["steps"]]
-        t = cls(**fields, truncated=tuple(
+    def from_dict(cls, d, path: str = "") -> "Transcript":
+        """The transcript ``as_dict`` wrote, at ``path`` of its document, if
+        its steps bear out its stage markers."""
+        doc = read_record(_TranscriptJson, d, path)
+        markers = doc.stage_markers
+        t = cls(doc.alert_id, doc.steps, tuple(
             s for s in ("initial", "reflection") if f"truncated_{s}" in markers))
         if t.stage_markers != markers:
             raise DataError(f"stage_markers {markers} do not match the steps: {t.stage_markers}")
         return t
+
+
+@dataclass(frozen=True)
+class _TranscriptJson:  # what Transcript.as_dict writes
+    alert_id: str
+    stage_markers: dict[str, int]
+    steps: list[Step]
 
 
 @dataclass

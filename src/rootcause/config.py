@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import types
-import typing
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .records import read_record
 
 DEFAULT_LOG_PATTERNS = ("timeout", "exception", "refused", "5xx")
 
@@ -105,7 +103,11 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        cfg = _record(cls, data, "")
+        """A config file's object; a key it leaves out keeps its default."""
+        try:
+            cfg = read_record(cls, data, partial=True)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
         cfg.validate()
         return cfg
 
@@ -120,48 +122,3 @@ class Config:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         return cls.from_dict(data)
 
-
-def _record(cls, data, prefix: str):
-    """A ``cls`` built from a JSON object whose every value has its field's type.
-
-    A ``ConfigError`` names the first key that is unknown or mistyped; a
-    float field takes an integer but no bool, NaN or infinity, and an
-    integer field takes no bool.
-    """
-    if not isinstance(data, dict):
-        where = f"key {prefix.rstrip('.')!r}" if prefix else "file"
-        raise ConfigError(f"config {where} must be a JSON object, got {data!r:.40}")
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {[prefix + k for k in unknown]}")
-    return cls(**{k: _value(hints[k], v, prefix + k) for k, v in data.items()})
-
-
-def _value(tp, value, key: str):
-    if dataclasses.is_dataclass(tp):
-        return _record(tp, value, key + ".")
-    if isinstance(tp, types.UnionType):  # X | None
-        if value is None:
-            return None
-        (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
-        return _value(tp, value, key)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
-            raise ConfigError(f"config key {key!r} must be a list, got {value!r:.40}")
-        (item, _) = typing.get_args(tp)
-        return tuple(_value(item, v, f"{key}[{i}]") for i, v in enumerate(value))
-    if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):  # JSON as Python reads it allows NaN and Infinity
-            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r:.40}")
-        return number
-    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
-        return value
-    raise ConfigError(f"config key {key!r} must be {_NAMES[tp]}, got {value!r:.40}")
-
-
-_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}

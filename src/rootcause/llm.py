@@ -123,6 +123,7 @@ class HttpTransport:
                 with urllib.request.urlopen(req, timeout=self.config.timeout) as resp:
                     return json.loads(resp.read().decode())
             except urllib.error.HTTPError as exc:
+                exc.close()  # frees its connection; the code and headers stay readable
                 if exc.code in (401, 403):
                     raise ConfigError(
                         f"policy backend rejected credentials (HTTP {exc.code})"
@@ -181,13 +182,22 @@ class ReplayTransport:
         self.responses: dict[str, dict] = {}
         try:
             with open(log_path, "r", encoding="utf-8") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue
-                    record = json.loads(line)
+                    try:
+                        record = json.loads(line)
+                    except ValueError as exc:
+                        raise ConfigError(f"{log_path}:{lineno}: not JSON: {exc}") from None
+                    if not (isinstance(record, dict) and isinstance(record.get("digest"), str)
+                            and "response" in record):
+                        raise ConfigError(f"{log_path}:{lineno}: a session log record "
+                                          "needs a string digest and a response")
                     self.responses[record["digest"]] = record["response"]
         except FileNotFoundError:
             raise ConfigError(f"replay session log not found: {log_path}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{log_path}: not UTF-8: {exc.reason}") from None
 
     def send(self, body: dict) -> dict:
         digest = request_digest(body)

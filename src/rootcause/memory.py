@@ -58,6 +58,7 @@ from .graph import (
     node_index,
     to_text,
 )
+from .records import read_record
 
 FORMAT_NAME = "rootcause-memory"
 FORMAT_VERSION = 1
@@ -389,11 +390,12 @@ def _read(path) -> tuple[Memory | None, list[str]]:
                 problems.append(f"{path}:{lineno}: checksum mismatch in entry record")
                 continue
             mem.store(MemoryEntry(
-                f=Fingerprint(body["fingerprint"]),
-                e=Embedding(np.asarray(body["embedding"], dtype=np.float64)),
-                graph=from_text(body["graph"]),
-                meta=(body["timestamp_ms"], body["alert_id"]),
-                transcript=Transcript.from_dict(body["transcript"]),
+                f=Fingerprint(read_record(str, body["fingerprint"], "fingerprint")),
+                e=Embedding(np.asarray(read_record(list[float], body["embedding"], "embedding"))),
+                graph=from_text(read_record(str, body["graph"], "graph")),
+                meta=(read_record(int, body["timestamp_ms"], "timestamp_ms"),
+                      read_record(str, body["alert_id"], "alert_id")),
+                transcript=Transcript.from_dict(body["transcript"], "transcript"),
             ))
         except EngineError as exc:
             problems.append(f"{path}:{lineno}: {exc}")
@@ -405,7 +407,7 @@ def _read(path) -> tuple[Memory | None, list[str]]:
     return mem, problems
 
 
-def _read_manifest(path, lines: list[str]) -> tuple[Memory, object]:
+def _read_manifest(path, lines: list[str]) -> tuple[Memory, int]:
     """An empty memory of the manifest's dim and alpha, and the entry
     count it declares; raises ``MemoryIntegrityError`` naming line 1."""
     if not lines:
@@ -416,10 +418,12 @@ def _read_manifest(path, lines: list[str]) -> tuple[Memory, object]:
         raise MemoryIntegrityError(f"{path}:1: corrupt manifest: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise MemoryIntegrityError(f"{path}:1: not a memory file")
-    if manifest.get("version") != FORMAT_VERSION:
-        raise MemoryIntegrityError(f"{path}:1: unsupported version {manifest.get('version')}")
     try:
-        mem = Memory(dim=manifest.get("dim"), alpha=manifest.get("alpha"))
-    except MemoryValidationError as exc:
+        version = read_record(int, manifest.get("version"), "version")
+        if version != FORMAT_VERSION:
+            raise MemoryIntegrityError(f"unsupported version {version}")
+        mem = Memory(dim=read_record(int, manifest.get("dim"), "dim"),
+                     alpha=read_record(float, manifest.get("alpha"), "alpha"))
+        return mem, read_record(int, manifest.get("entries"), "entries")
+    except EngineError as exc:
         raise MemoryIntegrityError(f"{path}:1: {exc}") from None
-    return mem, manifest.get("entries", 0)

@@ -52,6 +52,7 @@ from .config import Config
 from .errors import DataError
 from .graph import extract, graph_key
 from .memory import Decision, Memory, MemoryEntry, remap
+from .records import read_record
 from .telemetry import Alert, AlertWindow, LogEntry, Span, TelemetryStore, Topology
 
 
@@ -645,8 +646,9 @@ def analyze_window(
 # -- transcript export ----------------------------------------------------------------
 
 
-def evidence_digest(step: Step) -> str:
-    payload = json.dumps(step.as_dict(), sort_keys=True, separators=(",", ":"))
+def evidence_digest(step: dict) -> str:
+    """The digest of a step's JSON form (``Step.as_dict``)."""
+    payload = json.dumps(step, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -673,36 +675,41 @@ def export_transcript(analysis: AlertAnalysis, topology: Topology) -> str:
     evidence digest on each step, a topology snapshot, and the ranking the
     steps produced."""
     doc = analysis.transcript.as_dict()
-    for step, d in zip(analysis.transcript.steps, doc["steps"]):
-        d["evidence_digest"] = evidence_digest(step)
+    for d in doc["steps"]:
+        d["evidence_digest"] = evidence_digest(d)
     doc["topology"] = _topology_snapshot(analysis.transcript, topology)
     doc["ranking"] = analysis.ranking.as_rows()
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+@dataclass(frozen=True)
+class _RankingRow:  # one row of RootCauseRanking.as_rows
+    rank: int
+    level: str
+    root_cause: str
+    score: float
+    reason: str
+    evidence_steps: list[int]
+
+
 def read_transcript(text: str) -> tuple[Transcript, Topology, list[dict]]:
     """The transcript, topology snapshot and ranking rows of an exported
-    document; raises ``DataError`` for a malformed document or a step that
-    does not match its evidence digest."""
+    document; raises ``DataError`` for a malformed document, naming the JSON
+    path of a mistyped value, or a step that does not match its evidence digest."""
     try:
         doc = json.loads(text)
         digests = [d.pop("evidence_digest") for d in doc["steps"]]
-        snapshot, rows = doc.pop("topology"), doc.pop("ranking")
-        for row in rows:  # the fields render_transcript formats
-            if not (isinstance(row["rank"], int) and isinstance(row["score"], (int, float))
-                    and isinstance(row["level"], str) and isinstance(row["root_cause"], str)):
-                raise TypeError(f"ranking row {row['rank']!r} has a field of the wrong type")
-        topology = Topology(pod_to_service=dict(snapshot["pod_to_service"]),
-                            pod_to_node=dict(snapshot["pod_to_node"]))
+        topology = read_record(Topology, doc.pop("topology"), "topology")
+        rows = read_record(list[_RankingRow], doc.pop("ranking"), "ranking")
         transcript = Transcript.from_dict(doc)
     except KeyError as exc:
         raise DataError(f"transcript lacks key {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise DataError(f"malformed transcript: {exc}") from None
-    for step, digest in zip(transcript.steps, digests):
-        if evidence_digest(step) != digest:
+    for step, d, digest in zip(transcript.steps, doc["steps"], digests):
+        if evidence_digest(d) != digest:
             raise DataError(f"step {step.index} does not match its evidence digest")
-    return transcript, topology, rows
+    return transcript, topology, [vars(row) for row in rows]
 
 
 def replay_transcript(text: str, config: Config) -> tuple[RootCauseRanking, list[dict]]:

@@ -35,9 +35,13 @@ from .telemetry import (
     Span,
     TelemetryStore,
     Topology,
+    _int,
+    _read,
     export as export_telemetry,
     ingest,
 )
+
+TRUTH_HEADER = ["level", "component", "fault_kind", "seed"]
 
 FAULT_KINDS = (
     "LatencyInflation", "ErrorStatus", "MetricSpike", "LogBurst", "NodeDegradation",
@@ -121,7 +125,7 @@ class Scenario:
         export_telemetry(self.to_store(), out)
         with open(out / "truth.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["level", "component", "fault_kind", "seed"])
+            writer.writerow(TRUTH_HEADER)
             writer.writerow([self.truth[0], self.truth[1], self.fault_kind, self.seed])
 
     @property
@@ -134,13 +138,15 @@ class Scenario:
 
 
 def load_truth(scenario_dir: str | Path) -> tuple[str, str, str, int]:
+    """The fault a scenario directory's ``truth.csv`` names; a bad row is a
+    ``DataError`` naming ``truth.csv:<line>``."""
     path = Path(scenario_dir) / "truth.csv"
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or rows[0] != ["level", "component", "fault_kind", "seed"]:
-        raise DataError(f"{path}: malformed truth file")
-    level, component, kind, seed = rows[1]
-    return level, component, kind, int(seed)
+    rows = []
+    _read(path, TRUTH_HEADER, lambda level, component, kind, seed: rows.append(
+        (level, component, kind, _int(seed, "seed"))))
+    if len(rows) != 1:
+        raise DataError(f"{path}: expected one truth row, got {len(rows)}")
+    return rows[0]
 
 
 def load_scenario(scenario_dir: str | Path) -> "Scenario":

@@ -6,6 +6,7 @@ import pytest
 from rootcause.cli import main
 from rootcause.config import Config
 from rootcause.memory import _checksum
+from rootcause.reasoner import evidence_digest
 from rootcause.telemetry import export
 
 from .conftest import walkthrough_store
@@ -231,14 +232,27 @@ def _make_first_score_text(path):
     path.write_text(json.dumps(doc))
 
 
+def _make_max_deviation_text_resealed(path):
+    """A mistyped metric anomaly under a recomputed digest, so only the type is wrong."""
+    doc = json.loads(path.read_text())
+    step = next(s for s in doc["steps"] if s["metric_evidence"])
+    step["metric_evidence"][0]["max_deviation"] = "big"
+    del step["evidence_digest"]
+    step["evidence_digest"] = evidence_digest(step)
+    path.write_text(json.dumps(doc))
+
+
 MALFORMED_TRANSCRIPTS = {  # name -> (edit of an exported transcript file, stderr after the path)
     "not JSON": (lambda path: path.write_text("{not json"), "malformed transcript"),
-    "step lacks stale": (_drop_first_step_stale, "transcript lacks key 'stale'"),
+    "step lacks stale": (_drop_first_step_stale, "'steps[0].stale' is missing"),
     "step edited": (_edit_first_step_instruction, "step 0 does not match its evidence digest"),
-    "ranking score not a number": (_make_first_score_text, "malformed transcript"),
+    "ranking score not a number": (_make_first_score_text, "'ranking[0].score' must be a number"),
     "steps not records": (lambda path: path.write_text(
         path.read_text().replace('"steps": [', '"steps": [1, ', 1)), "malformed transcript"),
     "not UTF-8": (lambda path: path.write_bytes(b"\xff" + path.read_bytes()), "malformed transcript"),
+    "max_deviation as text, resealed": (
+        _make_max_deviation_text_resealed,
+        "'steps[4].metric_evidence[0].max_deviation' must be a number, got 'big'"),
 }
 
 
@@ -296,3 +310,16 @@ def test_parallel_windows_match_sequential(tmp_path):
 
 def test_missing_subcommand_exits_two(capsys):
     assert run_cli() == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ("pod,p-0,MetricSpike,x", "field seed is not an integer: 'x'"),
+    ("pod,p-0", "expected 4 fields, got 2"),
+])
+def test_eval_malformed_truth_exits_one_naming_its_line(tmp_path, capsys, row, message):
+    scenario = tmp_path / "corpus" / "sc0"
+    scenario.mkdir(parents=True)
+    (scenario / "truth.csv").write_text(f"level,component,fault_kind,seed\n{row}\n")
+    assert run_cli("eval", "--data", str(tmp_path / "corpus"), "--out", str(tmp_path / "r")) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {scenario / 'truth.csv'}:2: {message}"]

@@ -26,9 +26,9 @@ MISTYPED = {
     "llm number as a string": ({"llm": {"timeout": "5"}}, "'llm.timeout' must be a number"),
     "llm bool for an integer": ({"llm": {"max_retries": False}},
                                 "'llm.max_retries' must be an integer"),
-    "llm unknown key": ({"llm": {"timout": 5}}, "unknown config keys: ['llm.timout']"),
-    "unknown key": ({"max_dept": 3}, "unknown config keys: ['max_dept']"),
-    "not an object": ([1, 2], "config file must be a JSON object"),
+    "llm unknown key": ({"llm": {"timout": 5}}, "'llm.timout' is an unknown key"),
+    "unknown key": ({"max_dept": 3}, "'max_dept' is an unknown key"),
+    "not an object": ([1, 2], "top level must be a JSON object"),
 }
 
 

@@ -61,6 +61,7 @@ def mock_server(monkeypatch):
     yield server
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def llm_config(server) -> LlmConfig:
@@ -134,6 +135,25 @@ def test_replay_unknown_digest_errors(mock_server, tmp_path):
     replayed = llm_policy(llm_config(mock_server), replay_path=log)
     with pytest.raises(ReplayMissError, match="digest"):
         replayed.suspect(make_span(span_id="completely-new"), [])
+
+
+MALFORMED_SESSION_LOGS = {  # name -> (the log's bytes, refusal after the path)
+    "not JSON": (b"{not json\n", ":1: not JSON"),
+    "not an object": (b"[1]\n", ":1: a session log record needs a string digest and a response"),
+    "lacks response": (b'\n{"digest": "d1"}\n', ":2: a session log record needs"),
+    "digest not a string": (b'{"digest": 1, "response": {}}\n', ":1: a session log record needs"),
+    "not UTF-8": (b'{"digest": "\xff", "response": {}}\n', ": not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SESSION_LOGS))
+def test_replay_refuses_a_malformed_session_log_naming_its_line(tmp_path, name):
+    data, message = MALFORMED_SESSION_LOGS[name]
+    log = tmp_path / "session.jsonl"
+    log.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        ReplayTransport(log)
+    assert str(err.value).startswith(f"{log}{message}")
 
 
 def test_suspicious_children_parses_ranked_ids(mock_server):

@@ -527,3 +527,67 @@ def test_corrupt_file_fails_load_and_verify_at_its_line(tmp_path, capsys, name):
         Memory.load(path)
     assert main(["--memory", str(path), "memory", "verify"]) == 1
     assert f"VIOLATION {where}" in capsys.readouterr().out
+
+
+def _manifest_edit(**changes):
+    def corrupt(lines):
+        manifest = json.loads(lines[0])
+        manifest.update(changes)
+        lines[0] = json.dumps(manifest)
+    return corrupt
+
+
+def _step_edit(edit):
+    return _reseal(lambda body: edit(body["transcript"]["steps"][0]))
+
+
+MISTYPED = {  # name -> (edit of the file's lines, line, JSON path the refusal names)
+    "timestamp as text": (_reseal(lambda body: body.update(timestamp_ms="yesterday")),
+                          3, "'timestamp_ms' must be an integer"),
+    "alert id as a number": (_reseal(lambda body: body.update(alert_id=7)),
+                             3, "'alert_id' must be a string"),
+    "embedding item as text": (_reseal(lambda body: body["embedding"].__setitem__(0, "x")),
+                               3, "'embedding[0]' must be a number"),
+    "errored as a number": (_step_edit(lambda step: step.update(errored=0)),
+                            3, "'transcript.steps[0].errored' must be true or false"),
+    "index as text": (_step_edit(lambda step: step.update(index="0")),
+                      3, "'transcript.steps[0].index' must be an integer"),
+    "child call duration as text": (
+        _step_edit(lambda step: step["trace_evidence"][0].update(d="slow")),
+        3, "'transcript.steps[0].trace_evidence[0].d' must be an integer"),
+    "max_deviation as text": (
+        _step_edit(lambda step: step["metric_evidence"][0].update(max_deviation="big")),
+        3, "'transcript.steps[0].metric_evidence[0].max_deviation' must be a number"),
+    "series point of three": (
+        _step_edit(lambda step: step["metric_evidence"][0]["series"][0].append(1)),
+        3, "'transcript.steps[0].metric_evidence[0].series[0]' must be a list of 2 items"),
+    "unknown step key": (_step_edit(lambda step: step.update(note="x")),
+                         3, "'transcript.steps[0].note' is an unknown key"),
+    "step lacks stale": (_step_edit(lambda step: step.pop("stale")),
+                         3, "'transcript.steps[0].stale' is missing"),
+    "entries as a bool": (_manifest_edit(entries=True), 1, "'entries' must be an integer"),
+    "version as a float": (_manifest_edit(version=1.0), 1, "'version' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED))
+def test_mistyped_field_fails_load_and_verify_at_its_json_path(tmp_path, capsys, name):
+    corrupt, line, message = MISTYPED[name]
+    mem = Memory(dim=DIM)
+    rng = random.Random(43)
+    for i in range(3):
+        g = build_graph([f"p{i}-0", f"q{i}-0"], alert_id=f"a{i}")
+        mem.store(make_entry(g, steps=[
+            evidenced_step(j, g, nid, rng) for j, nid in enumerate(sorted(g.nodes))]))
+    path = tmp_path / "mem.jsonl"
+    mem.persist(path)
+    lines = path.read_text().splitlines()
+    corrupt(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+    where = f"{path}:{line}: {message}"
+    with pytest.raises(MemoryIntegrityError) as err:
+        Memory.load(path)
+    assert str(err.value).startswith(where)
+    assert main(["--memory", str(path), "memory", "verify"]) == 1
+    assert f"VIOLATION {where}" in capsys.readouterr().out
