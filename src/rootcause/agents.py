@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .config import DEFAULT_LOG_PATTERNS
 from .errors import DataError
 from .graph import SIGMA_FLOOR, mean_std
-from .records import read_record
 from .telemetry import LogEntry, TelemetryStore, Topology, children_of
 
 ALERTING_LEVELS = ("WARN", "ERROR", "FATAL")
@@ -128,24 +127,23 @@ class Transcript:
         return {"alert_id": self.alert_id, "stage_markers": self.stage_markers,
                 "steps": [s.as_dict() for s in self.steps]}
 
-    @classmethod
-    def from_dict(cls, d, path: str = "") -> "Transcript":
-        """The transcript ``as_dict`` wrote, at ``path`` of its document, if
-        its steps bear out its stage markers."""
-        doc = read_record(_TranscriptJson, d, path)
-        markers = doc.stage_markers
-        t = cls(doc.alert_id, doc.steps, tuple(
+
+@dataclass(frozen=True)
+class TranscriptJson:
+    """What ``Transcript.as_dict`` writes, as ``read_record`` reads it."""
+
+    alert_id: str
+    stage_markers: dict[str, int]
+    steps: list[Step]
+
+    def transcript(self) -> Transcript:
+        """The transcript, if its steps bear out its stage markers."""
+        markers = self.stage_markers
+        t = Transcript(self.alert_id, self.steps, tuple(
             s for s in ("initial", "reflection") if f"truncated_{s}" in markers))
         if t.stage_markers != markers:
             raise DataError(f"stage_markers {markers} do not match the steps: {t.stage_markers}")
         return t
-
-
-@dataclass(frozen=True)
-class _TranscriptJson:  # what Transcript.as_dict writes
-    alert_id: str
-    stage_markers: dict[str, int]
-    steps: list[Step]
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .reasoner import (
     analyze_window,
     deterministic_policy,
     export_transcript,
+    read_transcript,
     render_transcript,
     replay_transcript,
 )
@@ -215,17 +216,17 @@ def cmd_memory(args, cfg: Config) -> int:
     if args.action == "list":
         mem = Memory.load(cfg.memory_path)
         print(f"{len(mem)} entries in {cfg.memory_path}")
-        for e in mem.entries():
+        for fp, e in mem.entries().items():
             steps = len(e.transcript.steps)
-            print(f"  {e.f.digest[:16]}  alert={e.alert_id}  ts={e.timestamp}  steps={steps}")
+            print(f"  {fp[:16]}  alert={e.alert_id}  ts={e.timestamp}  steps={steps}")
         return 0
     if args.action == "show":
         if not args.fingerprint:
             raise ConfigError("memory show needs --fingerprint <prefix>")
         mem = Memory.load(cfg.memory_path)
-        for e in mem.entries():
-            if e.f.digest.startswith(args.fingerprint):
-                print(f"fingerprint {e.f.digest}")
+        for fp, e in mem.entries().items():
+            if fp.startswith(args.fingerprint):
+                print(f"fingerprint {fp}")
                 print(f"alert {e.alert_id} at {e.timestamp}")
                 print(f"graph nodes {len(e.graph.nodes)}, edges {len(e.graph.edges)}")
                 for s in e.transcript.steps:
@@ -250,8 +251,9 @@ def cmd_replay(args, cfg: Config) -> int:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: malformed transcript: {exc}") from None
     try:
-        rendered = render_transcript(text)
-        recomputed, stored = replay_transcript(text, cfg)
+        transcript, topology, stored = read_transcript(text)
+        rendered = render_transcript(transcript, stored)
+        recomputed = replay_transcript(transcript, topology, cfg)
     except EngineError as exc:
         raise DataError(f"{path}: {exc}") from None
     print(rendered, end="")

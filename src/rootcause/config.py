@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError
-from .records import read_record
+from .records import parse_json, read_record
 
 DEFAULT_LOG_PATTERNS = ("timeout", "exception", "refused", "5xx")
 
@@ -115,10 +115,10 @@ class Config:
     def load(cls, path: str) -> "Config":
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = parse_json(fh.read())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        except DataError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
         return cls.from_dict(data)
 

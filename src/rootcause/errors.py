@@ -26,7 +26,8 @@ class GraphConstructionError(EngineError):
 
 
 class MemoryValidationError(EngineError):
-    """A memory entry violates its invariants (fingerprint/embedding mismatch)."""
+    """A memory entry violates its invariants: a transcript step names a node
+    its graph lacks, or a file stores keys its graph does not derive."""
 
 
 class MemoryIntegrityError(EngineError):

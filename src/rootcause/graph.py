@@ -278,11 +278,6 @@ def embed(g: CausalGraph, dim: int = DEFAULT_DIM, rounds: int = WL_ROUNDS) -> Em
     return graph_key(g, dim, rounds)[1]
 
 
-def wl_features(g: CausalGraph, rounds: int = WL_ROUNDS) -> Counter:
-    """WL subtree feature histogram over rounds 0..rounds."""
-    return _features(_wl_label_rounds(g, rounds))
-
-
 def _features(history: list[dict[str, str]]) -> Counter:
     feats: Counter = Counter()
     for r, labels in enumerate(history):
@@ -437,36 +432,40 @@ def to_text(g: CausalGraph) -> str:
 
 
 def from_text(text: str) -> CausalGraph:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("graph\t"):
-        raise DataError("graph text must begin with a graph header line")
-    _, alert_id, w_lo, w_hi = lines[0].split("\t")
-    nodes: dict[str, NodeAttributes] = {}
-    edges: dict[tuple[str, str], EdgeAttributes] = {}
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        if parts[0] == "node":
-            _, pod, op, service, metrics_s, logs_s, spans_s = parts
-            metric_summary = {}
-            if metrics_s:
-                for item in metrics_s.split(","):
-                    name, mu, sd = item.rsplit(":", 2)
-                    metric_summary[name] = (float(mu), float(sd))
-            log_summary = {}
-            if logs_s:
-                for item in logs_s.split(","):
-                    k, c = item.rsplit(":", 1)
-                    log_summary[k] = int(c)
-            nodes[node_id_for(pod, op)] = NodeAttributes(
-                service_id=service, pod_id=pod, op_name=op,
-                metric_summary=metric_summary, log_summary=log_summary,
-                span_ids=tuple(spans_s.split(",")) if spans_s else (),
-            )
-        elif parts[0] == "edge":
-            _, u, v, latency, status = parts
-            edges[(u, v)] = EdgeAttributes(int(latency), int(status))
-        else:
-            raise DataError(f"unrecognized graph line kind {parts[0]!r}")
-    return CausalGraph(
-        alert_id=alert_id, window=(int(w_lo), int(w_hi)), nodes=nodes, edges=edges
-    )
+    """The graph ``to_text`` wrote; raises ``DataError`` for any other text."""
+    try:
+        lines = [ln for ln in text.splitlines() if ln]
+        if not lines or not lines[0].startswith("graph\t"):
+            raise DataError("graph text must begin with a graph header line")
+        _, alert_id, w_lo, w_hi = lines[0].split("\t")
+        nodes: dict[str, NodeAttributes] = {}
+        edges: dict[tuple[str, str], EdgeAttributes] = {}
+        for ln in lines[1:]:
+            parts = ln.split("\t")
+            if parts[0] == "node":
+                _, pod, op, service, metrics_s, logs_s, spans_s = parts
+                metric_summary = {}
+                if metrics_s:
+                    for item in metrics_s.split(","):
+                        name, mu, sd = item.rsplit(":", 2)
+                        metric_summary[name] = (float(mu), float(sd))
+                log_summary = {}
+                if logs_s:
+                    for item in logs_s.split(","):
+                        k, c = item.rsplit(":", 1)
+                        log_summary[k] = int(c)
+                nodes[node_id_for(pod, op)] = NodeAttributes(
+                    service_id=service, pod_id=pod, op_name=op,
+                    metric_summary=metric_summary, log_summary=log_summary,
+                    span_ids=tuple(spans_s.split(",")) if spans_s else (),
+                )
+            elif parts[0] == "edge":
+                _, u, v, latency, status = parts
+                edges[(u, v)] = EdgeAttributes(int(latency), int(status))
+            else:
+                raise DataError(f"unrecognized graph line kind {parts[0]!r}")
+        return CausalGraph(
+            alert_id=alert_id, window=(int(w_lo), int(w_hi)), nodes=nodes, edges=edges
+        )
+    except ValueError as exc:  # a line of the wrong field count, or a bad number
+        raise DataError(f"malformed graph text: {exc}") from None

@@ -27,10 +27,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .config import LlmConfig
-from .errors import ConfigError, ReplayMissError
+from .errors import ConfigError, DataError, ReplayMissError
 from .reasoner import DeterministicPolicy, PolicyContract
+from .records import parse_json
 
-PROMPT_VERSION = "v1"
+PROMPT_VERSION = "v2"
 
 SYSTEM_PROMPT = (
     "You are a site reliability analyst localizing the root cause of a "
@@ -186,9 +187,9 @@ class ReplayTransport:
                     if not line.strip():
                         continue
                     try:
-                        record = json.loads(line)
-                    except ValueError as exc:
-                        raise ConfigError(f"{log_path}:{lineno}: not JSON: {exc}") from None
+                        record = parse_json(line)
+                    except DataError as exc:
+                        raise ConfigError(f"{log_path}:{lineno}: {exc}") from None
                     if not (isinstance(record, dict) and isinstance(record.get("digest"), str)
                             and "response" in record):
                         raise ConfigError(f"{log_path}:{lineno}: a session log record "
@@ -208,10 +209,17 @@ class ReplayTransport:
         return self.responses[digest]
 
 
+def _q(value: str) -> str:
+    """A string field of a prompt row as a JSON string: quoted, with its
+    newlines and other control characters escaped, so that no telemetry
+    value can start a row of its own."""
+    return json.dumps(value)
+
+
 def _span_block(span) -> str:
     return (
-        f"span: id={span.span_id} pod={span.cmdb_id} service={span.service} "
-        f"op={span.operation} duration_ms={span.duration} status={span.status_code}"
+        f"span: id={_q(span.span_id)} pod={_q(span.cmdb_id)} service={_q(span.service)} "
+        f"op={_q(span.operation)} duration_ms={span.duration} status={span.status_code}"
     )
 
 
@@ -220,7 +228,8 @@ def _calls_block(calls) -> str:
         return "child calls: none"
     lines = ["child calls:"]
     lines += [
-        f"- id={c.child_span} service={c.svc} op={c.op} duration_ms={c.d} status={c.sigma}"
+        f"- id={_q(c.child_span)} service={_q(c.svc)} op={_q(c.op)} "
+        f"duration_ms={c.d} status={c.sigma}"
         for c in calls
     ]
     return "\n".join(lines)
@@ -231,8 +240,8 @@ def _logs_block(entries) -> str:
         return "log entries: none"
     lines = ["log entries:"]
     lines += [
-        f"- t={e.timestamp} component={e.component} level={e.level} "
-        f"kind={e.kind} message={e.message}"
+        f"- t={e.timestamp} component={_q(e.component)} level={_q(e.level)} "
+        f"kind={_q(e.kind)} message={_q(e.message)}"
         for e in entries
     ]
     return "\n".join(lines)
@@ -243,8 +252,9 @@ def _metrics_block(anomalies) -> str:
         return "metric anomalies: none"
     lines = ["metric anomalies:"]
     lines += [
-        f"- component={a.component} metric={a.metric} max_deviation={a.max_deviation:.3f} "
-        f"baseline_mean={a.baseline[0]:.3f} first_exceed={a.first_exceed}"
+        f"- component={_q(a.component)} metric={_q(a.metric)} "
+        f"max_deviation={a.max_deviation:.3f} baseline_mean={a.baseline[0]:.3f} "
+        f"first_exceed={a.first_exceed}"
         for a in anomalies
     ]
     return "\n".join(lines)
@@ -340,7 +350,7 @@ class LlmPolicy(PolicyContract):
     # -- contract -----------------------------------------------------
 
     def generate_instruction(self, span, context):
-        evidence = f"{_span_block(span)}\ncontext: {context}"
+        evidence = f"{_span_block(span)}\ncontext: {_q(context)}"
         verdict = self._ask("generate_instruction", evidence)
         if verdict is None:
             return self.fallback.generate_instruction(span, context)

@@ -1,25 +1,27 @@
 """Graph-keyed reasoning memory.
 
-Each analyzed alert leaves behind an entry: the causal graph, its
-canonical fingerprint, its retrieval embedding, metadata, and the full
-reasoning transcript. A new alert first runs nearest-neighbor search over
-the stored embeddings, then exact similarity scoring on the shortlist,
-and lands in one of three bands: reuse the stored transcript outright,
-resume reasoning at the nodes that diverged, or start fresh.
+Each analyzed alert leaves behind an entry: the causal graph, metadata,
+and the full reasoning transcript. A new alert first runs nearest-neighbor
+search over the stored embeddings, then exact similarity scoring on the
+shortlist, and lands in one of three bands: reuse the stored transcript
+outright, resume reasoning at the nodes that diverged, or start fresh.
 
-A valid entry has one definition, ``_check_entry``: one WL pass
-re-derives the entry's keys from its graph, and ``store`` refuses an
-entry that disagrees with them. ``store`` keeps the re-derived vector as
-a row of an append-only embedding matrix, beside the graph's (pod,
-operation) node map. A query brings its own embedding (``analyze_alert``
-keys its graph once, at the memory's dim), so a decision embeds nothing:
-the shortlist is one matrix-vector product, and exact scoring reads the
-cached rows and node maps. Both keys are fixed functions of the graph, so
-the cache cannot change a result.
+The memory is the one place that derives a graph's keys. ``store`` keys
+the entry's graph in one WL pass at the memory's dim and keeps its
+fingerprint, its embedding as a row of an append-only matrix, and its
+(pod, operation) node map; ``decide`` keys its query the same way, so a
+decision embeds nothing else: the shortlist is one matrix-vector product,
+and exact scoring reads the cached rows and node maps. Both keys are
+fixed functions of the graph, so the cache cannot change a result.
+``store`` refuses only an entry whose transcript names a node its graph
+lacks.
 
 A memory file has one reader, ``_read``, so ``Memory.load`` and ``verify``
 (``rootcause memory verify``) refuse the same files: ``load`` raises the
-first problem, ``verify`` lists them all, each naming ``path:line``.
+first problem, ``verify`` lists them all, each naming ``path:line``. Keys
+that arrive from outside the program are checked there and only there:
+each record's stored fingerprint and embedding must equal the keys its
+graph derives, under which the entry is then inserted.
 
 Retrieval is an exact linear scan over the embedding matrix; at the entry
 counts this engine sees (well under 1e4) an ANN index would be pure
@@ -38,12 +40,13 @@ import hashlib
 import json
 import os
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .agents import Transcript
+from .agents import Transcript, TranscriptJson
 from .errors import EngineError, MemoryIntegrityError, MemoryValidationError
 from .graph import (
     CausalGraph,
@@ -58,7 +61,7 @@ from .graph import (
     node_index,
     to_text,
 )
-from .records import read_record
+from .records import parse_json, read_record
 
 FORMAT_NAME = "rootcause-memory"
 FORMAT_VERSION = 1
@@ -66,8 +69,6 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class MemoryEntry:
-    f: Fingerprint
-    e: Embedding
     graph: CausalGraph
     meta: tuple[int, str]  # (timestamp_ms, alert_id)
     transcript: Transcript
@@ -95,9 +96,10 @@ class Decision:
 
 
 class _Slot(NamedTuple):
-    """A stored entry with the keys derived from its graph in ``store``."""
+    """A stored entry with the keys derived from its graph."""
 
     entry: MemoryEntry
+    fingerprint: str  # digest of the graph's fingerprint
     row: int  # row of the entry's embedding in ``Memory._matrix``
     nodes: dict  # graph.node_index of the entry's graph
 
@@ -122,22 +124,35 @@ class Memory:
     def __len__(self) -> int:
         return len(self._slots)
 
-    def entries(self) -> list[MemoryEntry]:
-        return [self._slots[fp].entry for fp in self._order]
+    def entries(self) -> dict[str, MemoryEntry]:
+        """Every stored entry by its fingerprint digest, in store order."""
+        return {fp: self._slots[fp].entry for fp in self._order}
 
     def by_alert(self, alert_id: str) -> MemoryEntry | None:
         fp = self._by_alert.get(alert_id)
         return self._slots[fp].entry if fp else None
 
     def store(self, entry: MemoryEntry) -> None:
-        """Insert or replace (latest wins on identical fingerprint); raises
-        ``MemoryValidationError`` listing every problem ``_check_entry`` finds."""
-        expected_e, problems = _check_entry(entry, self.dim)
+        """Insert or replace (latest wins on identical fingerprint) under the
+        keys of one WL pass over the entry's graph at this memory's dim."""
+        self._insert(entry, *graph_key(entry.graph, self.dim))
+
+    def _insert(self, entry: MemoryEntry, f: Fingerprint, e: Embedding,
+                problems: Sequence[str] = ()) -> None:
+        """Insert ``entry`` under ``f`` and ``e``, its graph's keys at this
+        memory's dim; raises ``MemoryValidationError`` listing ``problems``
+        and every step that is not stale yet names a node absent from the
+        graph (a stale step keeps the node ``remap`` could not rebind)."""
+        problems = [*problems, *(
+            f"transcript step {step.index} references node {step.node!r} "
+            "absent from the stored graph"
+            for step in entry.transcript.steps
+            if not step.stale and step.node not in entry.graph.nodes)]
         if problems:
             raise MemoryValidationError("; ".join(problems))
         nodes = node_index(entry.graph)
         with self._lock:
-            fp = entry.f.digest
+            fp = f.digest
             old = self._slots.get(fp)
             if old is not None:
                 self.replacements += 1
@@ -151,8 +166,8 @@ class Memory:
                     self._matrix = grown
             # The row is written before the slot and the order entry that
             # make it visible, so a reader never scores a half-stored entry.
-            self._matrix[row] = expected_e.vector
-            self._slots[fp] = _Slot(entry, row, nodes)
+            self._matrix[row] = e.vector
+            self._slots[fp] = _Slot(entry, fp, row, nodes)
             if old is None:
                 self._order.append(fp)
             self._by_alert[entry.alert_id] = fp
@@ -178,20 +193,12 @@ class Memory:
         ranked = sorted(candidates, key=lambda i: (neg[i], order[i]))[:k_prime]
         return [self._slots[order[i]] for i in ranked]
 
-    def _scored(
-        self, g_new: CausalGraph, k: int, query: Embedding | None
-    ) -> list[tuple[_Slot, float]]:
+    def _scored(self, g_new: CausalGraph, k: int) -> list[tuple[_Slot, float]]:
         if k < 1:
             raise MemoryValidationError(f"retrieve k must be >= 1, got {k}")
         if not self._order:
             return []
-        if query is None:
-            query = graph_key(g_new, self.dim)[1]
-        q = query.vector
-        if q.shape != (self.dim,):
-            raise MemoryValidationError(
-                f"query embedding has shape {q.shape}, memory dim is {self.dim}"
-            )
+        q = graph_key(g_new, self.dim)[1].vector
         q_nodes = node_index(g_new)
         k_prime = max(4 * k, 32)
         scored = []
@@ -201,38 +208,29 @@ class Memory:
             s_attr = attribute_similarity(g_new, slot.entry.graph, q_nodes, slot.nodes)
             cos = cosine(q, self._matrix[slot.row])
             scored.append((slot, blend_similarity(self.alpha, cos, s_attr)))
-        scored.sort(key=lambda pair: (-pair[1], pair[0].entry.f.digest))
+        scored.sort(key=lambda pair: (-pair[1], pair[0].fingerprint))
         return scored[:k]
 
-    def retrieve(
-        self, g_new: CausalGraph, k: int, query: Embedding | None = None
-    ) -> list[tuple[MemoryEntry, float]]:
+    def retrieve(self, g_new: CausalGraph, k: int) -> list[tuple[MemoryEntry, float]]:
         """Top-k stored entries by exact similarity.
 
-        A cosine shortlist of size max(4k, 32) is scored exactly; whenever
-        the store fits inside the shortlist this equals exhaustive search.
-        ``query`` is ``g_new``'s embedding at this memory's dim, computed
-        here when absent.
+        ``g_new`` is keyed once, at this memory's dim, unless the memory is
+        empty. A cosine shortlist of size max(4k, 32) is scored exactly;
+        whenever the store fits inside the shortlist this equals exhaustive
+        search.
         """
-        return [(slot.entry, score) for slot, score in self._scored(g_new, k, query)]
+        return [(slot.entry, score) for slot, score in self._scored(g_new, k)]
 
     def decide(
-        self,
-        g_new: CausalGraph,
-        tau_skip: float,
-        tau_partial: float,
-        delta: float,
-        query: Embedding | None = None,
+        self, g_new: CausalGraph, tau_skip: float, tau_partial: float, delta: float
     ) -> Decision:
-        """Three-way reuse decision against the best stored match.
-
-        ``query`` is ``g_new``'s embedding at this memory's dim, computed
-        here when absent."""
+        """Three-way reuse decision against the best stored match; keys
+        ``g_new`` as ``retrieve`` does."""
         if not (0.0 <= tau_partial <= tau_skip <= 1.0):
             raise MemoryValidationError(
                 f"need 0 <= tau_partial <= tau_skip <= 1, got {tau_partial}, {tau_skip}"
             )
-        best = self._scored(g_new, 1, query)
+        best = self._scored(g_new, 1)
         if not best:
             return Decision(kind="Fresh", matched=None, similarity=0.0)
         slot, score = best[0]
@@ -261,12 +259,12 @@ class Memory:
                 "entries": len(self._order),
             })]
             for fp in self._order:
-                entry = self._slots[fp].entry
+                entry, _, row, _ = self._slots[fp]
                 body = {
-                    "fingerprint": entry.f.digest,
+                    "fingerprint": fp,
                     "timestamp_ms": entry.timestamp,
                     "alert_id": entry.alert_id,
-                    "embedding": [float(x) for x in entry.e.vector],
+                    "embedding": [float(x) for x in self._matrix[row]],
                     "graph": to_text(entry.graph),
                     "transcript": entry.transcript.as_dict(),
                 }
@@ -338,34 +336,30 @@ def _checksum(body: dict) -> str:
     return hashlib.sha256(_canonical_json(body).encode()).hexdigest()
 
 
-def _check_entry(entry: MemoryEntry, dim: int) -> tuple[Embedding, list[str]]:
-    """Re-derive the entry's keys at ``dim`` in one WL pass; return the
-    embedding and every way the entry disagrees with its graph. A stale
-    step may name a node the graph lacks: ``remap`` keeps its old node."""
-    f, e = graph_key(entry.graph, dim)
-    problems = []
-    if entry.f.digest != f.digest:
-        problems.append(
-            f"fingerprint {entry.f.digest[:12]} does not match its graph "
-            f"(expected {f.digest[:12]})"
-        )
-    if entry.e.vector.shape != (dim,):
-        problems.append(f"embedding has shape {entry.e.vector.shape}, memory dim is {dim}")
-    elif not np.allclose(entry.e.vector, e.vector, atol=1e-12):
-        problems.append("embedding does not match its graph")
-    for step in entry.transcript.steps:
-        if not step.stale and step.node not in entry.graph.nodes:
-            problems.append(
-                f"transcript step {step.index} references node {step.node!r} "
-                "absent from the stored graph"
-            )
-    return e, problems
+@dataclass(frozen=True)
+class _Manifest:  # line 1 of a memory file
+    format: str
+    version: int
+    dim: int
+    alpha: float
+    entries: int
+
+
+@dataclass(frozen=True)
+class _Record:  # every later line of a memory file, less its checksum
+    fingerprint: str
+    timestamp_ms: int
+    alert_id: str
+    embedding: list[float]
+    graph: str
+    transcript: TranscriptJson
 
 
 def _read(path) -> tuple[Memory | None, list[str]]:
     """The memory a file holds and every problem in it, each as
     ``path:line: message``, in file order. A bad manifest ends the read;
-    every record is parsed, then ``store``d."""
+    every record is read, its stored keys checked against the keys its
+    graph derives, and the entry inserted under those."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -374,9 +368,9 @@ def _read(path) -> tuple[Memory | None, list[str]]:
     except UnicodeDecodeError as exc:
         raise MemoryIntegrityError(f"{path}: not a UTF-8 memory file: {exc}")
     try:
-        mem, declared = _read_manifest(path, lines)
-    except MemoryIntegrityError as exc:
-        return None, [str(exc)]
+        mem, declared = _read_manifest(lines)
+    except EngineError as exc:
+        return None, [f"{path}:1: {exc}"]
     problems = []
     if len(lines) - 1 != declared:
         problems.append(
@@ -385,45 +379,41 @@ def _read(path) -> tuple[Memory | None, list[str]]:
         )
     for lineno, raw in enumerate(lines[1:], start=2):
         try:
-            body = json.loads(raw)
-            if body.pop("checksum", None) != _checksum(body):
+            body = parse_json(raw)
+            # A body that is no JSON object has no checksum; read_record refuses it.
+            if isinstance(body, dict) and body.pop("checksum", None) != _checksum(body):
                 problems.append(f"{path}:{lineno}: checksum mismatch in entry record")
                 continue
-            mem.store(MemoryEntry(
-                f=Fingerprint(read_record(str, body["fingerprint"], "fingerprint")),
-                e=Embedding(np.asarray(read_record(list[float], body["embedding"], "embedding"))),
-                graph=from_text(read_record(str, body["graph"], "graph")),
-                meta=(read_record(int, body["timestamp_ms"], "timestamp_ms"),
-                      read_record(str, body["alert_id"], "alert_id")),
-                transcript=Transcript.from_dict(body["transcript"], "transcript"),
-            ))
+            record = read_record(_Record, body)
+            graph = from_text(record.graph)
+            f, e = graph_key(graph, mem.dim)
+            stored = np.asarray(record.embedding)
+            mismatch = []
+            if record.fingerprint != f.digest:
+                mismatch.append(f"fingerprint {record.fingerprint[:12]} does not match "
+                                f"its graph (expected {f.digest[:12]})")
+            if stored.shape != (mem.dim,):
+                mismatch.append(f"embedding has shape {stored.shape}, memory dim is {mem.dim}")
+            elif not np.allclose(stored, e.vector, atol=1e-12):
+                mismatch.append("embedding does not match its graph")
+            entry = MemoryEntry(graph, (record.timestamp_ms, record.alert_id),
+                                record.transcript.transcript())
+            mem._insert(entry, f, e, mismatch)
         except EngineError as exc:
             problems.append(f"{path}:{lineno}: {exc}")
-        except KeyError as exc:
-            problems.append(f"{path}:{lineno}: record lacks key {exc}")
-        except (AttributeError, TypeError, ValueError) as exc:
-            problems.append(f"{path}:{lineno}: corrupt record: {exc}")
     mem.replacements = 0
     return mem, problems
 
 
-def _read_manifest(path, lines: list[str]) -> tuple[Memory, int]:
+def _read_manifest(lines: list[str]) -> tuple[Memory, int]:
     """An empty memory of the manifest's dim and alpha, and the entry
-    count it declares; raises ``MemoryIntegrityError`` naming line 1."""
+    count it declares; raises an ``EngineError`` for a bad manifest."""
     if not lines:
-        raise MemoryIntegrityError(f"{path}:1: empty memory file")
-    try:
-        manifest = json.loads(lines[0])
-    except ValueError as exc:
-        raise MemoryIntegrityError(f"{path}:1: corrupt manifest: {exc}") from None
+        raise MemoryIntegrityError("empty memory file")
+    manifest = parse_json(lines[0])
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
-        raise MemoryIntegrityError(f"{path}:1: not a memory file")
-    try:
-        version = read_record(int, manifest.get("version"), "version")
-        if version != FORMAT_VERSION:
-            raise MemoryIntegrityError(f"unsupported version {version}")
-        mem = Memory(dim=read_record(int, manifest.get("dim"), "dim"),
-                     alpha=read_record(float, manifest.get("alpha"), "alpha"))
-        return mem, read_record(int, manifest.get("entries"), "entries")
-    except EngineError as exc:
-        raise MemoryIntegrityError(f"{path}:1: {exc}") from None
+        raise MemoryIntegrityError("not a memory file")
+    manifest = read_record(_Manifest, manifest)
+    if manifest.version != FORMAT_VERSION:
+        raise MemoryIntegrityError(f"unsupported version {manifest.version}")
+    return Memory(dim=manifest.dim, alpha=manifest.alpha), manifest.entries

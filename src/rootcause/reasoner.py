@@ -33,7 +33,7 @@ import hashlib
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .agents import (
     Candidate,
@@ -43,6 +43,7 @@ from .agents import (
     ScoreWeights,
     Step,
     Transcript,
+    TranscriptJson,
     consolidate,
     log_agent,
     metric_agent,
@@ -50,9 +51,9 @@ from .agents import (
 )
 from .config import Config
 from .errors import DataError
-from .graph import extract, graph_key
+from .graph import extract
 from .memory import Decision, Memory, MemoryEntry, remap
-from .records import read_record
+from .records import parse_json, read_record
 from .telemetry import Alert, AlertWindow, LogEntry, Span, TelemetryStore, Topology
 
 
@@ -485,11 +486,8 @@ def analyze_alert(
     runtime = AgentRuntime(store, topology, alert.timestamp, config)
     budget = Budget(max_depth=config.max_depth, max_steps=config.max_steps)
 
-    # Both keys come from one WL pass, at the memory's dim when there is
-    # one: the memory scores with the same embedding it will store.
-    f, e = graph_key(g, mem.dim if mem is not None else config.embedding_dim)
     if mem is not None:
-        decision = mem.decide(g, config.tau_skip, config.tau_partial, config.delta, e)
+        decision = mem.decide(g, config.tau_skip, config.tau_partial, config.delta)
     else:
         decision = Decision(kind="Fresh", matched=None, similarity=0.0)
 
@@ -509,13 +507,7 @@ def analyze_alert(
                                 tuple(dict.fromkeys(transcript.truncated + reflection.truncated)))
     ranking = consolidate(transcript.steps, topology, _weights(config))
 
-    entry = MemoryEntry(
-        f=f,
-        e=e,
-        graph=g,
-        meta=(alert.timestamp, alert.alert_id),
-        transcript=transcript,
-    )
+    entry = MemoryEntry(graph=g, meta=(alert.timestamp, alert.alert_id), transcript=transcript)
     unsaved = False
     if mem is not None:
         try:
@@ -692,36 +684,44 @@ class _RankingRow:  # one row of RootCauseRanking.as_rows
     evidence_steps: list[int]
 
 
+@dataclass(frozen=True)
+class _ExportedStep(Step):  # a step of an exported document: Step.as_dict and its digest
+    evidence_digest: str = ""  # the default only orders the field; a record needs the key
+
+
+@dataclass(frozen=True)
+class _ExportedTranscript(TranscriptJson):  # what export_transcript writes
+    steps: list[_ExportedStep]
+    topology: Topology
+    ranking: list[_RankingRow]
+
+
 def read_transcript(text: str) -> tuple[Transcript, Topology, list[dict]]:
     """The transcript, topology snapshot and ranking rows of an exported
     document; raises ``DataError`` for a malformed document, naming the JSON
     path of a mistyped value, or a step that does not match its evidence digest."""
-    try:
-        doc = json.loads(text)
-        digests = [d.pop("evidence_digest") for d in doc["steps"]]
-        topology = read_record(Topology, doc.pop("topology"), "topology")
-        rows = read_record(list[_RankingRow], doc.pop("ranking"), "ranking")
-        transcript = Transcript.from_dict(doc)
-    except KeyError as exc:
-        raise DataError(f"transcript lacks key {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise DataError(f"malformed transcript: {exc}") from None
-    for step, d, digest in zip(transcript.steps, doc["steps"], digests):
-        if evidence_digest(d) != digest:
+    value = parse_json(text)
+    doc = read_record(_ExportedTranscript, value)
+    steps = []
+    for step, d in zip(doc.steps, value["steps"]):  # each a JSON object, as read
+        del d["evidence_digest"]
+        if evidence_digest(d) != step.evidence_digest:
             raise DataError(f"step {step.index} does not match its evidence digest")
-    return transcript, topology, [vars(row) for row in rows]
+        steps.append(Step(**{f.name: getattr(step, f.name) for f in fields(Step)}))
+    transcript = TranscriptJson(doc.alert_id, doc.stage_markers, steps).transcript()
+    return transcript, doc.topology, [vars(row) for row in doc.ranking]
 
 
-def replay_transcript(text: str, config: Config) -> tuple[RootCauseRanking, list[dict]]:
-    """Re-run final review over an exported transcript; returns the
-    recomputed ranking and the stored rows for comparison."""
-    transcript, topology, rows = read_transcript(text)
-    return consolidate(transcript.steps, topology, _weights(config)), rows
+def replay_transcript(transcript: Transcript, topology: Topology,
+                      config: Config) -> RootCauseRanking:
+    """Re-run final review over a transcript that ``read_transcript`` read;
+    the result should equal the document's stored ranking rows."""
+    return consolidate(transcript.steps, topology, _weights(config))
 
 
-def render_transcript(text: str) -> str:
-    """Human-readable rendering of an exported transcript document."""
-    transcript, _, rows = read_transcript(text)
+def render_transcript(transcript: Transcript, rows: list[dict]) -> str:
+    """Human-readable rendering of an exported transcript document, as
+    ``read_transcript`` read it."""
     lines = [f"alert {transcript.alert_id}"]
     for s in transcript.steps:
         flags = [name for name, on in (("stale", s.stale), ("errored", s.errored)) if on]

@@ -5,18 +5,32 @@ It reads a parsed JSON value as a dataclass, field by field, or as ``str``,
 such as ``tuple[int, float]``, ``list[X]`` or ``dict[str, X]``. Each type's
 reader is built once. A refusal is a ``DataError`` naming the JSON path of
 the value, such as ``'steps[3].metric_evidence[0].max_deviation' must be a
-number``; the path is only put together then.
+number``; the path is only put together then. ``parse_json`` turns the text
+of a record into the value it reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
 
 from .errors import DataError
+
+
+def parse_json(text: str):
+    """The JSON value ``text`` holds; raises ``DataError`` for text that is
+    not JSON, and for a value nested too deeply for ``json.loads``, which
+    would otherwise escape as a bare ``RecursionError``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"not JSON: {exc}") from None
+    except RecursionError:
+        raise DataError("not JSON: nested too deeply to parse") from None
 
 
 def read_record(tp, value, path: str = "", partial: bool = False):

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import sys
 
 import pytest
 
+from rootcause import cli
 from rootcause.cli import main
 from rootcause.config import Config
-from rootcause.memory import _checksum
+from rootcause.errors import ConfigError
+from rootcause.llm import ReplayTransport
+from rootcause.memory import Memory, _checksum
 from rootcause.reasoner import evidence_digest
 from rootcause.telemetry import export
 
@@ -243,13 +247,16 @@ def _make_max_deviation_text_resealed(path):
 
 
 MALFORMED_TRANSCRIPTS = {  # name -> (edit of an exported transcript file, stderr after the path)
-    "not JSON": (lambda path: path.write_text("{not json"), "malformed transcript"),
+    "not JSON": (lambda path: path.write_text("{not json"), "not JSON: Expecting property name"),
     "step lacks stale": (_drop_first_step_stale, "'steps[0].stale' is missing"),
     "step edited": (_edit_first_step_instruction, "step 0 does not match its evidence digest"),
     "ranking score not a number": (_make_first_score_text, "'ranking[0].score' must be a number"),
     "steps not records": (lambda path: path.write_text(
-        path.read_text().replace('"steps": [', '"steps": [1, ', 1)), "malformed transcript"),
+        path.read_text().replace('"steps": [', '"steps": [1, ', 1)),
+        "'steps[0]' must be a JSON object, got 1"),
     "not UTF-8": (lambda path: path.write_bytes(b"\xff" + path.read_bytes()), "malformed transcript"),
+    "top level a list": (lambda path: path.write_text("[]"),
+                         "top level must be a JSON object, got []"),
     "max_deviation as text, resealed": (
         _make_max_deviation_text_resealed,
         "'steps[4].metric_evidence[0].max_deviation' must be a number, got 'big'"),
@@ -323,3 +330,74 @@ def test_eval_malformed_truth_exits_one_naming_its_line(tmp_path, capsys, row, m
     assert run_cli("eval", "--data", str(tmp_path / "corpus"), "--out", str(tmp_path / "r")) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {scenario / 'truth.csv'}:2: {message}"]
+
+
+def test_replay_reads_the_document_once(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    export(walkthrough_store(), data)
+    out = tmp_path / "out"
+    run_cli("analyze", "--data", str(data), "--out", str(out))
+    path = next((out / "transcripts").glob("*.json"))
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return read(text)
+
+    read = cli.read_transcript
+    monkeypatch.setattr(cli, "read_transcript", counting)
+    capsys.readouterr()
+    assert run_cli("replay", str(path)) == 0
+    assert "replay ok" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than json.loads can recurse
+
+
+def _memory_with_record(path, record):
+    Memory(dim=16).persist(path)  # the manifest of an empty memory
+    manifest = json.loads(path.read_text())
+    manifest["entries"] = 1
+    path.write_text(f"{json.dumps(manifest)}\n{record}\n")
+
+
+def _session_log(path):
+    """Reads the log as a ReplayTransport, reporting a refusal as main
+    reports a ConfigError."""
+    try:
+        ReplayTransport(path)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+DEEPLY_NESTED = {  # reader -> (write the file, read it, exit code, stderr)
+    "memory record": (lambda path: _memory_with_record(path, DEEP),
+                      lambda path: run_cli("--memory", str(path), "memory", "list"),
+                      1, "error: {path}:2: not JSON: nested too deeply"),
+    "memory manifest": (lambda path: path.write_text(DEEP + "\n"),
+                        lambda path: run_cli("--memory", str(path), "memory", "list"),
+                        1, "error: {path}:1: not JSON: nested too deeply"),
+    "exported transcript": (lambda path: path.write_text(DEEP),
+                            lambda path: run_cli("replay", str(path)),
+                            1, "error: {path}: not JSON: nested too deeply"),
+    "config file": (lambda path: path.write_text(DEEP),
+                    lambda path: run_cli("--config", str(path), "--print-config"),
+                    2, "config error: config file {path}: not JSON: nested too deeply"),
+    "replay session log": (lambda path: path.write_text(DEEP + "\n"), _session_log,
+                           2, "config error: {path}:1: not JSON: nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEPLY_NESTED))
+def test_deeply_nested_json_is_refused_at_its_location(tmp_path, capsys, name):
+    write, read, code, message = DEEPLY_NESTED[name]
+    path = tmp_path / "input"
+    write(path)
+    capsys.readouterr()
+    assert read(path) == code
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]  # one line, no traceback
+    assert err.startswith(message.format(path=path))

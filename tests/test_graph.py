@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from rootcause import graph
 from rootcause.errors import DataError, GraphConstructionError, NotFoundError
 from rootcause.graph import (
     CausalGraph,
@@ -23,7 +24,6 @@ from rootcause.graph import (
     node_id_for,
     similarity,
     to_text,
-    wl_features,
 )
 from rootcause.telemetry import Alert, TelemetryStore
 
@@ -216,8 +216,8 @@ def test_disjoint_label_graphs_share_no_buckets():
     g1 = labeled_graph([("a", "b"), ("b", "c")])
     g2 = labeled_graph([("x", "y"), ("y", "z")])
     dim = 1024
-    buckets1 = {feature_bucket(f, dim) for f in wl_features(g1)}
-    buckets2 = {feature_bucket(f, dim) for f in wl_features(g2)}
+    buckets1 = {feature_bucket(f, dim) for f in graph._features(graph._wl_label_rounds(g1))}
+    buckets2 = {feature_bucket(f, dim) for f in graph._features(graph._wl_label_rounds(g2))}
     assert buckets1.isdisjoint(buckets2)  # no collisions for this seed
     v1, v2 = embed(g1, dim).vector, embed(g2, dim).vector
     assert float(np.dot(v1, v2)) == 0.0

@@ -13,8 +13,7 @@ import pytest
 
 from rootcause import graph, reasoner
 from rootcause.config import Config
-from rootcause.errors import MemoryValidationError
-from rootcause.graph import embed, similarity
+from rootcause.graph import embed, fingerprint, similarity
 from rootcause.memory import Memory
 from rootcause.reasoner import analyze_window, deterministic_policy
 from rootcause.scenario import ScenarioSpec, duplicate_alerts, generate
@@ -23,8 +22,9 @@ from rootcause.telemetry import windows_from_alerts
 from .test_memory import DIM, build_graph, make_entry
 
 
-def test_wl_passes_per_alert_do_not_grow_with_the_memory(monkeypatch):
-    # The acceptance-08 storm with the zero-latency deterministic policy.
+def _wl_passes_per_alert(monkeypatch, memory_on):
+    """(entries before the alert, WL passes it cost) for each alert of the
+    acceptance-08 storm under the zero-latency deterministic policy."""
     cfg = Config(baseline_minutes=5.0)
     scenario = generate(ScenarioSpec(
         services=8, depth=4, fault_kind="MetricSpike", seed=55, traces=6, victims=5,
@@ -32,7 +32,7 @@ def test_wl_passes_per_alert_do_not_grow_with_the_memory(monkeypatch):
     dup = duplicate_alerts(scenario, copies=9)
     store = dup.to_store()
     windows = windows_from_alerts(store.alerts, cfg.window_ms)
-    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha) if memory_on else None
 
     passes = [0]
     real_rounds = graph._wl_label_rounds
@@ -45,7 +45,7 @@ def test_wl_passes_per_alert_do_not_grow_with_the_memory(monkeypatch):
     real_analyze = reasoner.analyze_alert
 
     def counting_analyze(*args, **kwargs):
-        entries, before = len(mem), passes[0]
+        entries, before = len(mem or ()), passes[0]
         out = real_analyze(*args, **kwargs)
         per_alert.append((entries, passes[0] - before))
         return out
@@ -56,10 +56,22 @@ def test_wl_passes_per_alert_do_not_grow_with_the_memory(monkeypatch):
                             deterministic_policy(cfg), cfg)
 
     assert not report.failures and len(per_alert) == 50
-    assert {a.decision.kind for a in report.analyses} >= {"Fresh", "Reuse"}
-    assert len(mem) >= 3
-    # One pass keys the query, one is store's check of the entry.
-    assert all(cost == 2 for _, cost in per_alert), per_alert
+    if memory_on:
+        assert {a.decision.kind for a in report.analyses} >= {"Fresh", "Reuse"}
+        assert len(mem) >= 3
+    return per_alert
+
+
+def test_wl_passes_per_alert_do_not_grow_with_the_memory(monkeypatch):
+    per_alert = _wl_passes_per_alert(monkeypatch, memory_on=True)
+    # decide keys the query unless the memory is empty; store keys the entry.
+    assert [cost for _, cost in per_alert] == [1] + [2] * 49, per_alert
+    assert [entries for entries, _ in per_alert][:2] == [0, 1]
+
+
+def test_memory_off_computes_no_graph_key(monkeypatch):
+    per_alert = _wl_passes_per_alert(monkeypatch, memory_on=False)
+    assert all(cost == 0 for _, cost in per_alert), per_alert
 
 
 def _random_memory(n, seed):
@@ -74,36 +86,28 @@ def _random_memory(n, seed):
 
 
 def _brute_force(mem, query, k):
-    scored = [(e, similarity(query, e.graph, mem.alpha, DIM)) for e in mem.entries()]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].f.digest))
-    return [(e.f.digest, s) for e, s in scored[:k]]
+    scored = [(fp, similarity(query, e.graph, mem.alpha, DIM))
+              for fp, e in mem.entries().items()]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
 
 
 @pytest.mark.parametrize("k", [1, 5, 50])
 def test_keyed_retrieve_equals_recomputed_similarity_bit_for_bit(k):
     mem = _random_memory(50, seed=17)
     query = build_graph(["s1-0", "s2-1", "s3-2"], alert_id="query")
-    want = _brute_force(mem, query, k)
-    for q in (None, embed(query, DIM)):
-        got = [(e.f.digest, s) for e, s in mem.retrieve(query, k, query=q)]
-        assert got == want  # exact floats, no rounding
+    got = [(fingerprint(e.graph).digest, s) for e, s in mem.retrieve(query, k)]
+    assert got == _brute_force(mem, query, k)  # exact floats, no rounding
 
 
 def test_keyed_decide_similarity_equals_recomputed_bit_for_bit():
     mem = _random_memory(40, seed=23)
     for i, labels in enumerate([["s1-0", "s2-1"], ["s0-0", "s4-1", "s5-2"], ["s7-0"]]):
         query = build_graph(labels, alert_id=f"q{i}")
-        decision = mem.decide(query, 0.98, 0.8, 1.0, query=embed(query, DIM))
+        decision = mem.decide(query, 0.98, 0.8, 1.0)
         digest, score = _brute_force(mem, query, 1)[0]
-        assert decision.matched.f.digest == digest
+        assert decision.matched is mem.entries()[digest]
         assert decision.similarity == score
-
-
-def test_query_embedding_of_another_dim_is_refused():
-    mem = _random_memory(3, seed=5)
-    query = build_graph(["s1-0"], alert_id="q")
-    with pytest.raises(MemoryValidationError, match="memory dim"):
-        mem.retrieve(query, 1, query=embed(query, DIM * 2))
 
 
 def test_shortlist_ties_at_the_cut_match_the_full_sort():
@@ -116,15 +120,15 @@ def test_shortlist_ties_at_the_cut_match_the_full_sort():
     query = embed(build_graph(["q-0"], alert_id="query"), DIM).vector
     k_prime = 32
 
-    entries = mem.entries()
-    cosines = np.stack([e.e.vector for e in entries]) @ query
-    full = sorted(range(len(entries)), key=lambda i: (-cosines[i], entries[i].f.digest))
-    want = [entries[i].f.digest for i in full[:k_prime]]
+    digests = list(mem.entries())
+    cosines = np.stack([embed(e.graph, DIM).vector for e in mem.entries().values()]) @ query
+    full = sorted(range(len(digests)), key=lambda i: (-cosines[i], digests[i]))
+    want = [digests[i] for i in full[:k_prime]]
 
     cut = cosines[full[k_prime - 1]]
     tied = int(np.sum(cosines == cut))
     inside = sum(1 for i in full[:k_prime] if cosines[i] == cut)
     assert tied > inside >= 1  # the tie group straddles the cut
 
-    got = [slot.entry.f.digest for slot in mem._nn_shortlist(query, k_prime)]
+    got = [slot.fingerprint for slot in mem._nn_shortlist(query, k_prime)]
     assert got == want

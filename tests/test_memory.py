@@ -11,9 +11,7 @@ from rootcause.errors import EngineError, MemoryIntegrityError, MemoryValidation
 from rootcause.graph import (
     CausalGraph,
     EdgeAttributes,
-    Fingerprint,
     NodeAttributes,
-    embed,
     fingerprint,
     node_id_for,
     similarity,
@@ -68,13 +66,7 @@ def make_entry(graph, alert_id=None, ts=T0, steps=None):
             make_step(i, graph, nid) for i, nid in enumerate(node_ids)
         ],
     )
-    return MemoryEntry(
-        f=fingerprint(graph),
-        e=embed(graph, DIM),
-        graph=graph,
-        meta=(ts, aid),
-        transcript=transcript,
-    )
+    return MemoryEntry(graph=graph, meta=(ts, aid), transcript=transcript)
 
 
 # -- store ---------------------------------------------------------------------
@@ -95,7 +87,7 @@ def test_identical_fingerprint_replaces_latest_wins():
     mem.store(second)
     assert len(mem) == 1
     assert mem.replacements == 1
-    assert mem.entries()[0].alert_id == "second"
+    assert [e.alert_id for e in mem.entries().values()] == ["second"]
     assert mem.by_alert("second") is not None
     assert mem.by_alert("first") is None
 
@@ -107,18 +99,6 @@ def test_store_100_distinct_all_retrievable_by_alert_id():
         mem.store(make_entry(g))
     assert len(mem) == 100
     assert all(mem.by_alert(f"a{i}") is not None for i in range(100))
-
-
-def test_store_rejects_fingerprint_mismatch():
-    mem = Memory(dim=DIM)
-    g = build_graph(["a-0", "b-0"])
-    entry = make_entry(g)
-    forged = MemoryEntry(
-        f=Fingerprint("0" * 64), e=entry.e, graph=g, meta=entry.meta,
-        transcript=entry.transcript,
-    )
-    with pytest.raises(MemoryValidationError, match="fingerprint"):
-        mem.store(forged)
 
 
 def test_store_rejects_dangling_transcript_node():
@@ -179,16 +159,15 @@ def test_retrieve_matches_exhaustive_oracle():
         entry = make_entry(g)
         mem.store(entry)
         stored.append(mem.by_alert(f"a{i}"))
-    stored = mem.entries()
+    stored = mem.entries().values()
 
     query = build_graph(["s1-0", "s2-1", "s3-2"], alert_id="query")
     got = mem.retrieve(query, 5)
 
     brute = [(e, similarity(query, e.graph, mem.alpha, DIM)) for e in stored]
-    brute.sort(key=lambda pair: (-pair[1], pair[0].f.digest))
+    brute.sort(key=lambda pair: (-pair[1], fingerprint(pair[0].graph).digest))
     want = brute[:5]
-    assert [(e.f.digest, round(s, 12)) for e, s in got] == \
-        [(e.f.digest, round(s, 12)) for e, s in want]
+    assert [(e, round(s, 12)) for e, s in got] == [(e, round(s, 12)) for e, s in want]
 
 
 # -- decide ----------------------------------------------------------------------
@@ -341,7 +320,7 @@ def test_persist_load_round_trip_byte_identical(tmp_path):
         g = build_graph(labels, alert_id=f"a{i}")
         steps = [evidenced_step(j, g, nid, rng) for j, nid in enumerate(sorted(g.nodes))]
         mem.store(make_entry(g, steps=steps if i % 2 else None))
-    stored = [e.transcript for e in mem.entries()]
+    stored = [e.transcript for e in mem.entries().values()]
     assert any(s.stale for t in stored for s in t.steps)
     assert any(s.errored for t in stored for s in t.steps)
     p1 = tmp_path / "mem1.jsonl"
@@ -351,7 +330,7 @@ def test_persist_load_round_trip_byte_identical(tmp_path):
     loaded.persist(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(loaded) == len(mem)
-    assert [e.transcript for e in loaded.entries()] == stored
+    assert [e.transcript for e in loaded.entries().values()] == stored
 
 
 def test_persist_load_retrieve_parity(tmp_path):
@@ -364,8 +343,8 @@ def test_persist_load_retrieve_parity(tmp_path):
     mem.persist(path)
     loaded = Memory.load(path)
     query = build_graph(["s1-0", "s2-1"], alert_id="q")
-    before = [(e.f.digest, round(s, 12)) for e, s in mem.retrieve(query, 5)]
-    after = [(e.f.digest, round(s, 12)) for e, s in loaded.retrieve(query, 5)]
+    before = [(e.alert_id, round(s, 12)) for e, s in mem.retrieve(query, 5)]
+    after = [(e.alert_id, round(s, 12)) for e, s in loaded.retrieve(query, 5)]
     assert before == after
 
 
@@ -565,6 +544,14 @@ MISTYPED = {  # name -> (edit of the file's lines, line, JSON path the refusal n
                          3, "'transcript.steps[0].note' is an unknown key"),
     "step lacks stale": (_step_edit(lambda step: step.pop("stale")),
                          3, "'transcript.steps[0].stale' is missing"),
+    "record a list": (lambda lines: lines.__setitem__(2, "[1]"),
+                      3, "top level must be a JSON object, got [1]"),
+    "unknown record key": (_reseal(lambda body: body.update(note="x")),
+                           3, "'note' is an unknown key"),
+    "graph text cut short": (_reseal(lambda body: body.update(graph="graph\tg")),
+                             3, "malformed graph text: not enough values to unpack"),
+    "manifest of another format": (lambda lines: lines.__setitem__(0, '{"entries": 3}'),
+                                   1, "not a memory file"),
     "entries as a bool": (_manifest_edit(entries=True), 1, "'entries' must be an integer"),
     "version as a float": (_manifest_edit(version=1.0), 1, "'version' must be an integer"),
 }

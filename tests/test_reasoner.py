@@ -24,6 +24,7 @@ from rootcause.reasoner import (
     export_transcript,
     initial_reasoning,
     recursive_rcl,
+    read_transcript,
     render_transcript,
     replay_transcript,
 )
@@ -544,7 +545,8 @@ def test_transcript_export_replay_round_trip(walkthrough):
         deterministic_policy(cfg), cfg,
     )
     text = export_transcript(analysis, store.topology)
-    recomputed, stored_rows = replay_transcript(text, cfg)
+    transcript, topology, stored_rows = read_transcript(text)
+    recomputed = replay_transcript(transcript, topology, cfg)
     assert recomputed.as_rows() == stored_rows
     assert json.loads(text)["alert_id"] == alert.alert_id
 
@@ -559,7 +561,8 @@ def test_budget_truncation_is_reported_exported_stored_and_reused(walkthrough, t
     assert markers["truncated_initial"] == 1
     text = export_transcript(fresh, store.topology)
     assert json.loads(text)["stage_markers"] == markers
-    recomputed, stored_rows = replay_transcript(text, cfg)
+    transcript, topology, stored_rows = read_transcript(text)
+    recomputed = replay_transcript(transcript, topology, cfg)
     assert recomputed.as_rows() == stored_rows
 
     mem.persist(tmp_path / "memory.jsonl")
@@ -579,7 +582,8 @@ def test_render_transcript_separates_flags_with_comma_space(walkthrough):
     )
     steps = analysis.transcript.steps
     steps[:] = [dataclasses.replace(s, stale=i == 0, errored=i == 0) for i, s in enumerate(steps)]
-    lines = render_transcript(export_transcript(analysis, store.topology)).splitlines()
+    transcript, _, rows = read_transcript(export_transcript(analysis, store.topology))
+    lines = render_transcript(transcript, rows).splitlines()
     flagged = [ln for ln in lines if "[stale" in ln]
     assert len(flagged) == 1
     assert flagged[0].endswith(" [stale, errored]")
