@@ -146,12 +146,12 @@ class TranscriptJson:
         return t
 
 
-@dataclass
+@dataclass(frozen=True)
 class Candidate:
     level: str
     root_cause: str
     reason: str
-    evidence: list[int]  # supporting transcript step indexes
+    evidence: tuple[int, ...]  # supporting transcript step indexes
     score: float
     evidence_time: int
 
@@ -344,7 +344,7 @@ def metric_agent(
 # -- consolidation ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreWeights:
     w_metric: float = 1.0
     w_log: float = 0.5
@@ -487,7 +487,7 @@ def consolidate(
             level=level,
             root_cause=comp,
             reason=reason,
-            evidence=sorted(set(slot["evidence"])),
+            evidence=tuple(sorted(set(slot["evidence"]))),
             score=slot["score"],
             evidence_time=slot["time"],
         ))

@@ -118,6 +118,10 @@ class Config:
                 data = parse_json(fh.read())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not UTF-8: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: cannot read: {exc.strerror}") from None
         except DataError as exc:
             raise ConfigError(f"config file {path}: {exc}") from None
         return cls.from_dict(data)

@@ -6,15 +6,33 @@ search over the stored embeddings, then exact similarity scoring on the
 shortlist, and lands in one of three bands: reuse the stored transcript
 outright, resume reasoning at the nodes that diverged, or start fresh.
 
-The memory is the one place that derives a graph's keys. ``store`` keys
-the entry's graph in one WL pass at the memory's dim and keeps its
-fingerprint, its embedding as a row of an append-only matrix, and its
-(pod, operation) node map; ``decide`` keys its query the same way, so a
-decision embeds nothing else: the shortlist is one matrix-vector product,
-and exact scoring reads the cached rows and node maps. Both keys are
-fixed functions of the graph, so the cache cannot change a result.
-``store`` refuses only an entry whose transcript names a node its graph
-lacks.
+The memory is the one place that derives a graph's keys, and it derives
+them once per alert. ``decide`` keys its query in one WL pass at the
+memory's dim, as a ``Keyed`` record of the graph, its fingerprint, its
+embedding and its (pod, operation) node map, and hands that record back
+on the ``Decision``; ``store`` inserts an entry under it when the record
+keys the entry's very graph object, and keys the graph itself otherwise.
+A stored entry keeps its fingerprint, its embedding as a row of an
+append-only matrix, and its node map, so a decision embeds nothing else:
+the shortlist is one matrix-vector product, and exact scoring reads the
+cached rows and node maps. Both keys are fixed functions of the graph, so
+neither cache can change a result. ``store`` refuses only an entry whose
+transcript names a node its graph lacks.
+
+Exact scoring is pruned by a bound: a candidate's similarity is at most
+its blend with an attribute similarity of one, so a shortlisted entry
+whose bound falls strictly below the k-th best exact score so far cannot
+enter the top k and is not scored. The blend is monotone in the attribute
+similarity under IEEE rounding, and an entry tied at the bound is still
+scored, so the result and its fingerprint tie-break are exact.
+
+An entry stored with its ranking keeps it, with the topology object and
+the ``ScoreWeights`` it was consolidated under (``Ranked``). A Reuse whose
+remap leaves every step's stale flag as stored ranks exactly as the
+stored transcript, since ``consolidate`` reads no step's node or span;
+``Decision.stored_ranking`` returns the kept ranking then, under the same
+topology and weights, and ``None`` otherwise. A ranking is never written
+to the memory file, so an entry read from one consolidates.
 
 A memory file has one reader, ``_read``, so ``Memory.load`` and ``verify``
 (``rootcause memory verify``) refuse the same files: ``load`` raises the
@@ -30,13 +48,15 @@ changes.
 
 Concurrency: single writer, many readers. ``store`` and ``persist``
 serialize through one lock and readers always see a complete entry,
-never a partial one. ``persist`` replaces the file atomically, so a crash
+never a partial one. A query's keys travel on its ``Decision``, never on
+the shared memory. ``persist`` replaces the file atomically, so a crash
 mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import threading
@@ -46,12 +66,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agents import Transcript, TranscriptJson
+from .agents import Candidate, RootCauseRanking, ScoreWeights, Transcript, TranscriptJson
 from .errors import EngineError, MemoryIntegrityError, MemoryValidationError
 from .graph import (
     CausalGraph,
     Embedding,
-    Fingerprint,
     attribute_similarity,
     blend_similarity,
     cosine,
@@ -62,6 +81,7 @@ from .graph import (
     to_text,
 )
 from .records import parse_json, read_record
+from .telemetry import Topology
 
 FORMAT_NAME = "rootcause-memory"
 FORMAT_VERSION = 1
@@ -82,6 +102,26 @@ class MemoryEntry:
         return self.meta[0]
 
 
+class Keyed(NamedTuple):
+    """A graph with the keys one WL pass derives from it at a memory's dim;
+    built by ``Memory``, handed from ``decide`` to ``store`` on a
+    ``Decision``."""
+
+    graph: CausalGraph
+    fingerprint: str  # digest of the graph's fingerprint
+    embedding: Embedding
+    nodes: dict  # graph.node_index of the graph
+
+
+class Ranked(NamedTuple):
+    """A stored transcript's ranking and what ``consolidate`` built it under
+    besides the steps."""
+
+    ranking: tuple[Candidate, ...]
+    topology: Topology
+    weights: ScoreWeights
+
+
 @dataclass
 class Decision:
     kind: str  # "Reuse" | "Resume" | "Fresh"
@@ -89,10 +129,27 @@ class Decision:
     similarity: float
     divergent_nodes: set[str] = field(default_factory=set)
     degraded: bool = False  # Resume band collapsed to Reuse: no divergent nodes
+    query: Keyed | None = field(default=None, repr=False)  # None: decided unkeyed
+    ranked: Ranked | None = field(default=None, repr=False)  # the matched entry's
 
     def __post_init__(self):
         if self.kind not in ("Reuse", "Resume", "Fresh"):
             raise MemoryValidationError(f"unknown decision kind {self.kind!r}")
+
+    def stored_ranking(self, remapped: Transcript, topology: Topology,
+                       weights: ScoreWeights) -> RootCauseRanking | None:
+        """The matched entry's kept ranking if ``consolidate`` would rank
+        ``remapped``, its transcript as ``remap`` bound it to the new graph,
+        the same: the ranking was built under this topology object and equal
+        weights, and every step keeps its stored stale flag. ``None``
+        otherwise, and for an entry stored without a ranking."""
+        ranked = self.ranked
+        if ranked is None or ranked.topology is not topology or ranked.weights != weights:
+            return None
+        stored = self.matched.transcript.steps
+        if any(new.stale != old.stale for new, old in zip(remapped.steps, stored)):
+            return None
+        return RootCauseRanking(ranked.ranking)
 
 
 class _Slot(NamedTuple):
@@ -102,6 +159,7 @@ class _Slot(NamedTuple):
     fingerprint: str  # digest of the graph's fingerprint
     row: int  # row of the entry's embedding in ``Memory._matrix``
     nodes: dict  # graph.node_index of the entry's graph
+    ranked: Ranked | None  # the entry's ranking, if stored with one
 
 
 class Memory:
@@ -132,14 +190,28 @@ class Memory:
         fp = self._by_alert.get(alert_id)
         return self._slots[fp].entry if fp else None
 
-    def store(self, entry: MemoryEntry) -> None:
-        """Insert or replace (latest wins on identical fingerprint) under the
-        keys of one WL pass over the entry's graph at this memory's dim."""
-        self._insert(entry, *graph_key(entry.graph, self.dim))
+    def _key(self, g: CausalGraph) -> Keyed:
+        """``g`` keyed in one WL pass at this memory's dim."""
+        f, e = graph_key(g, self.dim)
+        return Keyed(g, f.digest, e, node_index(g))
 
-    def _insert(self, entry: MemoryEntry, f: Fingerprint, e: Embedding,
+    def store(self, entry: MemoryEntry, keyed: Keyed | None = None,
+              ranked: Ranked | None = None) -> None:
+        """Insert or replace (latest wins on identical fingerprint).
+
+        The entry goes in under ``keyed``, the query keys a ``decide`` of
+        this memory put on its ``Decision``, when they key this very graph
+        object; otherwise one WL pass keys the entry's graph at this
+        memory's dim. ``ranked`` is the ranking consolidated from the
+        entry's transcript, kept for ``Decision.stored_ranking``."""
+        if keyed is None or keyed.graph is not entry.graph \
+                or keyed.embedding.vector.shape != (self.dim,):
+            keyed = self._key(entry.graph)
+        self._insert(entry, keyed, ranked)
+
+    def _insert(self, entry: MemoryEntry, keyed: Keyed, ranked: Ranked | None = None,
                 problems: Sequence[str] = ()) -> None:
-        """Insert ``entry`` under ``f`` and ``e``, its graph's keys at this
+        """Insert ``entry`` under ``keyed``, its graph's keys at this
         memory's dim; raises ``MemoryValidationError`` listing ``problems``
         and every step that is not stale yet names a node absent from the
         graph (a stale step keeps the node ``remap`` could not rebind)."""
@@ -150,9 +222,8 @@ class Memory:
             if not step.stale and step.node not in entry.graph.nodes)]
         if problems:
             raise MemoryValidationError("; ".join(problems))
-        nodes = node_index(entry.graph)
         with self._lock:
-            fp = f.digest
+            fp = keyed.fingerprint
             old = self._slots.get(fp)
             if old is not None:
                 self.replacements += 1
@@ -166,8 +237,8 @@ class Memory:
                     self._matrix = grown
             # The row is written before the slot and the order entry that
             # make it visible, so a reader never scores a half-stored entry.
-            self._matrix[row] = e.vector
-            self._slots[fp] = _Slot(entry, fp, row, nodes)
+            self._matrix[row] = keyed.embedding.vector
+            self._slots[fp] = _Slot(entry, fp, row, keyed.nodes, ranked)
             if old is None:
                 self._order.append(fp)
             self._by_alert[entry.alert_id] = fp
@@ -193,21 +264,28 @@ class Memory:
         ranked = sorted(candidates, key=lambda i: (neg[i], order[i]))[:k_prime]
         return [self._slots[order[i]] for i in ranked]
 
-    def _scored(self, g_new: CausalGraph, k: int) -> list[tuple[_Slot, float]]:
-        if k < 1:
-            raise MemoryValidationError(f"retrieve k must be >= 1, got {k}")
-        if not self._order:
-            return []
-        q = graph_key(g_new, self.dim)[1].vector
-        q_nodes = node_index(g_new)
-        k_prime = max(4 * k, 32)
+    def _scored(self, query: Keyed, k: int) -> list[tuple[_Slot, float]]:
+        """The top k of the cosine shortlist of size max(4k, 32) by exact
+        similarity, ties broken by fingerprint. A shortlisted entry whose
+        bound, its similarity at an attribute similarity of one, is strictly
+        below the k-th best exact score so far is not scored: its score is
+        at most that bound, so it cannot reach the top k."""
+        q = query.embedding.vector
+        top: list[float] = []  # min-heap of the k best exact scores so far
         scored = []
-        for slot in self._nn_shortlist(q, k_prime):
+        for slot in self._nn_shortlist(q, max(4 * k, 32)):
             # cosine() on the cached row, not the shortlist's dot product:
             # that skips the norm division and may differ in the last bit.
-            s_attr = attribute_similarity(g_new, slot.entry.graph, q_nodes, slot.nodes)
             cos = cosine(q, self._matrix[slot.row])
-            scored.append((slot, blend_similarity(self.alpha, cos, s_attr)))
+            if len(top) == k and blend_similarity(self.alpha, cos, 1.0) < top[0]:
+                continue
+            s_attr = attribute_similarity(query.graph, slot.entry.graph, query.nodes, slot.nodes)
+            score = blend_similarity(self.alpha, cos, s_attr)
+            scored.append((slot, score))
+            if len(top) < k:
+                heapq.heappush(top, score)
+            elif score > top[0]:
+                heapq.heapreplace(top, score)
         scored.sort(key=lambda pair: (-pair[1], pair[0].fingerprint))
         return scored[:k]
 
@@ -215,36 +293,43 @@ class Memory:
         """Top-k stored entries by exact similarity.
 
         ``g_new`` is keyed once, at this memory's dim, unless the memory is
-        empty. A cosine shortlist of size max(4k, 32) is scored exactly;
-        whenever the store fits inside the shortlist this equals exhaustive
-        search.
+        empty. A cosine shortlist of size max(4k, 32) is scored exactly,
+        pruned by bound, which changes no result; whenever the store fits
+        inside the shortlist this equals exhaustive search.
         """
-        return [(slot.entry, score) for slot, score in self._scored(g_new, k)]
+        if k < 1:
+            raise MemoryValidationError(f"retrieve k must be >= 1, got {k}")
+        if not self._order:
+            return []
+        return [(slot.entry, score) for slot, score in self._scored(self._key(g_new), k)]
 
     def decide(
         self, g_new: CausalGraph, tau_skip: float, tau_partial: float, delta: float
     ) -> Decision:
-        """Three-way reuse decision against the best stored match; keys
-        ``g_new`` as ``retrieve`` does."""
+        """Three-way reuse decision against the best stored match, scored as
+        ``retrieve`` scores k = 1. Unless the memory is empty, ``g_new`` is
+        keyed once and its keys ride on the decision as ``query``, for
+        ``store`` to reuse; ``ranked`` is the matched entry's kept ranking."""
         if not (0.0 <= tau_partial <= tau_skip <= 1.0):
             raise MemoryValidationError(
                 f"need 0 <= tau_partial <= tau_skip <= 1, got {tau_partial}, {tau_skip}"
             )
-        best = self._scored(g_new, 1)
-        if not best:
+        if not self._order:
             return Decision(kind="Fresh", matched=None, similarity=0.0)
-        slot, score = best[0]
+        query = self._key(g_new)
+        slot, score = self._scored(query, 1)[0]
         entry = slot.entry
+        found = dict(matched=entry, similarity=score, query=query, ranked=slot.ranked)
         if score >= tau_skip:
-            return Decision(kind="Reuse", matched=entry, similarity=score)
+            return Decision(kind="Reuse", **found)
         if score >= tau_partial:
             nodes = divergence(g_new, entry.graph, delta, slot.nodes)
             if not nodes:
                 # In the resume band yet nothing diverges past delta:
                 # degrade to reuse and record the degenerate case.
-                return Decision(kind="Reuse", matched=entry, similarity=score, degraded=True)
-            return Decision(kind="Resume", matched=entry, similarity=score, divergent_nodes=nodes)
-        return Decision(kind="Fresh", matched=entry, similarity=score)
+                return Decision(kind="Reuse", degraded=True, **found)
+            return Decision(kind="Resume", divergent_nodes=nodes, **found)
+        return Decision(kind="Fresh", **found)
 
     # -- persistence ----------------------------------------------------
 
@@ -259,7 +344,7 @@ class Memory:
                 "entries": len(self._order),
             })]
             for fp in self._order:
-                entry, _, row, _ = self._slots[fp]
+                entry, _, row, _, _ = self._slots[fp]
                 body = {
                     "fingerprint": fp,
                     "timestamp_ms": entry.timestamp,
@@ -367,6 +452,8 @@ def _read(path) -> tuple[Memory | None, list[str]]:
         raise MemoryIntegrityError(f"memory file not found: {path}")
     except UnicodeDecodeError as exc:
         raise MemoryIntegrityError(f"{path}: not a UTF-8 memory file: {exc}")
+    except OSError as exc:
+        raise MemoryIntegrityError(f"{path}: cannot read memory file: {exc.strerror}") from None
     try:
         mem, declared = _read_manifest(lines)
     except EngineError as exc:
@@ -385,20 +472,19 @@ def _read(path) -> tuple[Memory | None, list[str]]:
                 problems.append(f"{path}:{lineno}: checksum mismatch in entry record")
                 continue
             record = read_record(_Record, body)
-            graph = from_text(record.graph)
-            f, e = graph_key(graph, mem.dim)
+            keyed = mem._key(from_text(record.graph))
             stored = np.asarray(record.embedding)
             mismatch = []
-            if record.fingerprint != f.digest:
+            if record.fingerprint != keyed.fingerprint:
                 mismatch.append(f"fingerprint {record.fingerprint[:12]} does not match "
-                                f"its graph (expected {f.digest[:12]})")
+                                f"its graph (expected {keyed.fingerprint[:12]})")
             if stored.shape != (mem.dim,):
                 mismatch.append(f"embedding has shape {stored.shape}, memory dim is {mem.dim}")
-            elif not np.allclose(stored, e.vector, atol=1e-12):
+            elif not np.allclose(stored, keyed.embedding.vector, atol=1e-12):
                 mismatch.append("embedding does not match its graph")
-            entry = MemoryEntry(graph, (record.timestamp_ms, record.alert_id),
+            entry = MemoryEntry(keyed.graph, (record.timestamp_ms, record.alert_id),
                                 record.transcript.transcript())
-            mem._insert(entry, f, e, mismatch)
+            mem._insert(entry, keyed, problems=mismatch)
         except EngineError as exc:
             problems.append(f"{path}:{lineno}: {exc}")
     mem.replacements = 0

@@ -52,7 +52,7 @@ from .agents import (
 from .config import Config
 from .errors import DataError
 from .graph import extract
-from .memory import Decision, Memory, MemoryEntry, remap
+from .memory import Decision, Memory, MemoryEntry, Ranked, remap
 from .records import parse_json, read_record
 from .telemetry import Alert, AlertWindow, LogEntry, Span, TelemetryStore, Topology
 
@@ -475,8 +475,10 @@ def analyze_alert(
     suspects; Resume and Reuse start from the stored transcript remapped
     onto the new graph and reflect only from the spans of divergent nodes,
     of which Reuse has none, so it makes no policy call. The ranking
-    consolidates the resulting transcript, which is stored back under the
-    new graph's fingerprint. A memory write failure flags the result
+    consolidates the resulting transcript, unless a Reuse can keep the
+    matched entry's stored ranking (``Decision.stored_ranking``). The
+    transcript and its ranking are stored back under the keys ``decide``
+    derived for the new graph. A memory write failure flags the result
     unsaved rather than discarding the computed ranking. ``mem=None``
     turns memory off: every alert starts fresh and nothing is stored.
     """
@@ -501,17 +503,22 @@ def analyze_alert(
             {sid for nid in decision.divergent_nodes for sid in g.nodes[nid].span_ids},
             key=lambda sid: (store.span(sid).start_time, sid),
         )
+    weights = _weights(config)
+    ranking = None
     if seeds is None or seeds:
         reflection = critical_reflection(transcript, counting, runtime, budget, seeds)
         transcript = Transcript(alert.alert_id, transcript.steps + reflection.steps,
                                 tuple(dict.fromkeys(transcript.truncated + reflection.truncated)))
-    ranking = consolidate(transcript.steps, topology, _weights(config))
+    else:
+        ranking = decision.stored_ranking(transcript, topology, weights)
+    if ranking is None:
+        ranking = consolidate(transcript.steps, topology, weights)
 
     entry = MemoryEntry(graph=g, meta=(alert.timestamp, alert.alert_id), transcript=transcript)
     unsaved = False
     if mem is not None:
         try:
-            mem.store(entry)
+            mem.store(entry, decision.query, Ranked(tuple(ranking), topology, weights))
         except Exception:  # noqa: BLE001 - the ranking is already computed
             unsaved = True
 
@@ -594,7 +601,7 @@ def aggregate_rankings(rankings: list[RootCauseRanking]) -> RootCauseRanking:
         Candidate(
             level=level, root_cause=comp,
             reason=" | ".join(slot["reasons"][:3]),
-            evidence=sorted(set(slot["evidence"])),
+            evidence=tuple(sorted(set(slot["evidence"]))),
             score=slot["score"],
             evidence_time=slot["time"],
         )

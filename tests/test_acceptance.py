@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from rootcause import graph, reasoner
 from rootcause.agents import consolidate, metric_agent
 from rootcause.config import Config
 from rootcause.evaluation import mrr, recall_at_k, run_benchmark
@@ -416,3 +417,66 @@ def test_acceptance_11_end_to_end_determinism(tmp_path):
     assert elapsed < 300
     report(11, "end-to-end determinism", elapsed, 300,
            f"{len(files_a)} artifacts byte-identical across runs")
+
+
+def test_acceptance_12_memory_does_less_work_in_process(monkeypatch):
+    started = time.perf_counter()
+    cfg = Config(baseline_minutes=5.0)
+    scenario = generate(ScenarioSpec(
+        services=8, depth=4, fault_kind="MetricSpike", seed=55,
+        traces=6, victims=5,
+    ))
+    dup = duplicate_alerts(scenario, copies=9)
+    store = dup.to_store()
+    windows = windows_from_alerts(store.alerts, cfg.window_ms)
+    assert len(windows) == 1 and len(windows[0].alerts) == 50
+
+    work = {"walk_steps": 0, "consolidate": 0, "wl_passes": 0}
+
+    def counted(fn, kind):
+        def wrapper(*args, **kwargs):
+            work[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    per_alert_wl = []
+    real_analyze = reasoner.analyze_alert
+
+    def analyze(*args, **kwargs):
+        before = work["wl_passes"]
+        out = real_analyze(*args, **kwargs)
+        per_alert_wl.append(work["wl_passes"] - before)
+        return out
+
+    monkeypatch.setattr(reasoner, "_visit", counted(reasoner._visit, "walk_steps"))
+    monkeypatch.setattr(reasoner, "consolidate", counted(reasoner.consolidate, "consolidate"))
+    monkeypatch.setattr(graph, "_wl_label_rounds", counted(graph._wl_label_rounds, "wl_passes"))
+    monkeypatch.setattr(reasoner, "analyze_alert", analyze)
+
+    def arm(mem):
+        for kind in work:
+            work[kind] = 0
+        del per_alert_wl[:]
+        policy = CountingPolicy(deterministic_policy(cfg))  # zero latency
+        t0 = time.perf_counter()
+        report = analyze_window(windows[0], store, dup.topology, mem, policy, cfg)
+        wall = time.perf_counter() - t0
+        assert not report.failures and len(report.analyses) == 50
+        counts = dict(work, policy_calls=policy.calls,
+                      agent_calls=sum(a.counters.total_agent_calls for a in report.analyses))
+        return counts, list(per_alert_wl), wall
+
+    on, wl_on, wall_on = arm(Memory(dim=cfg.embedding_dim, alpha=cfg.alpha))
+    off, wl_off, wall_off = arm(None)
+
+    for kind in ("policy_calls", "agent_calls", "walk_steps", "consolidate"):
+        assert on[kind] < off[kind], (kind, on, off)
+    assert wl_on == [1] * 50
+    assert wl_off == [0] * 50
+    elapsed = time.perf_counter() - started
+    assert elapsed < 120
+    report(12, "memory does less work in process", elapsed, 120,
+           f"policy calls {on['policy_calls']} vs {off['policy_calls']}, "
+           f"walk steps {on['walk_steps']} vs {off['walk_steps']}, "
+           f"consolidate {on['consolidate']} vs {off['consolidate']}, "
+           f"1 WL pass per alert; wall on/off {wall_on / wall_off:.2f} (not gated)")

@@ -1,9 +1,11 @@
 """Config files: each value is checked against its field's type, naming the key."""
 
 import json
+import re
 
 import pytest
 
+from rootcause import config
 from rootcause.cli import main
 from rootcause.config import Config, LlmConfig
 from rootcause.errors import ConfigError
@@ -64,3 +66,27 @@ def test_cli_mistyped_config_exits_two(tmp_path, capsys, data):
     assert main(["--config", str(path), "--print-config"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and next(iter(data)) in err
+
+
+def _unreadable(monkeypatch, path):
+    def refuse(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(file))
+
+    monkeypatch.setattr(config, "open", refuse, raising=False)
+
+
+@pytest.mark.parametrize("case", ["not UTF-8", "a directory", "unreadable"])
+def test_unreadable_config_path_is_a_config_error_naming_it(tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "config.json"
+    if case == "not UTF-8":
+        path.write_bytes(b"\xff{}")
+    elif case == "a directory":
+        path.mkdir()
+    else:
+        path.write_text("{}")
+        _unreadable(monkeypatch, path)
+    with pytest.raises(ConfigError, match=re.escape(f"config file {path}: ")):
+        Config.load(str(path))
+    assert main(["--config", str(path), "--print-config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err

@@ -1,9 +1,10 @@
 """Graph keys are computed once per graph, and caching them changes nothing.
 
-The work count pins how many WL refinements an analyzed alert costs; the
-exactness tests pin that scoring from cached keys is bit-identical to
-recomputing every key, and that the argpartition shortlist equals the full
-sort it replaced, ties included.
+The work counts pin how many WL refinements an analyzed alert costs and
+which shortlisted entries a Reuse scores exactly; the exactness tests pin
+that scoring from cached keys, pruned by bound, is bit-identical to
+recomputing every key and scoring every shortlisted entry, and that the
+argpartition shortlist equals the full sort it replaced, ties included.
 """
 
 import random
@@ -11,9 +12,18 @@ import random
 import numpy as np
 import pytest
 
-from rootcause import graph, reasoner
+from rootcause import graph, memory, reasoner
 from rootcause.config import Config
-from rootcause.graph import embed, fingerprint, similarity
+from rootcause.graph import (
+    CausalGraph,
+    EdgeAttributes,
+    NodeAttributes,
+    cosine,
+    embed,
+    fingerprint,
+    node_id_for,
+    similarity,
+)
 from rootcause.memory import Memory
 from rootcause.reasoner import analyze_window, deterministic_policy
 from rootcause.scenario import ScenarioSpec, duplicate_alerts, generate
@@ -64,8 +74,9 @@ def _wl_passes_per_alert(monkeypatch, memory_on):
 
 def test_wl_passes_per_alert_do_not_grow_with_the_memory(monkeypatch):
     per_alert = _wl_passes_per_alert(monkeypatch, memory_on=True)
-    # decide keys the query unless the memory is empty; store keys the entry.
-    assert [cost for _, cost in per_alert] == [1] + [2] * 49, per_alert
+    # decide keys the query unless the memory is empty, and store reuses
+    # those keys; into an empty memory, store keys the entry itself.
+    assert [cost for _, cost in per_alert] == [1] * 50, per_alert
     assert [entries for entries, _ in per_alert][:2] == [0, 1]
 
 
@@ -132,3 +143,142 @@ def test_shortlist_ties_at_the_cut_match_the_full_sort():
 
     got = [slot.fingerprint for slot in mem._nn_shortlist(query, k_prime)]
     assert got == want
+
+
+def _graph(pods, edges=(), metrics=None, service="q", alert_id="g"):
+    """One node per pod, all of one service and operation; ``edges`` are
+    (i, j) pairs of indexes into ``pods``."""
+    ids = [node_id_for(p, f"{service}/op") for p in pods]
+    nodes = {nid: NodeAttributes(service, p, f"{service}/op",
+                                 (metrics or {}).get(p, {"m": (10.0, 2.0)}), {}, (f"sp-{p}",))
+             for nid, p in zip(ids, pods)}
+    return CausalGraph(alert_id, (0, 1), nodes,
+                       {(ids[i], ids[j]): EdgeAttributes(1, 0) for i, j in edges})
+
+
+def _diverse_memory(n, seed):
+    """``n`` stored graphs drawn from 90 pods of 30 services, 1-6 nodes in a
+    chain each, so most draws are distinct and cosines spread."""
+    rng = random.Random(seed)
+    mem = Memory(dim=DIM)
+    for i in range(n):
+        labels = sorted({f"s{rng.randrange(30)}-{rng.randrange(3)}"
+                         for _ in range(rng.randrange(1, 7))})
+        metrics = {l: {"m": (rng.uniform(0, 40), rng.uniform(0.5, 4))} for l in labels}
+        mem.store(make_entry(build_graph(labels, metrics=metrics, alert_id=f"a{i}")))
+    return mem
+
+
+def _oracle(mem, query, k):
+    """Top k of the cosine shortlist of size max(4k, 32) by ``similarity``,
+    which re-derives both graphs' keys, scoring every shortlisted entry:
+    (fingerprint, score) pairs sorted by (-score, fingerprint)."""
+    digests = list(mem.entries())
+    graphs = [e.graph for e in mem.entries().values()]
+    q = embed(query, DIM).vector
+    cosines = np.stack([embed(g, DIM).vector for g in graphs]) @ q  # as the shortlist
+    short = sorted(range(len(digests)), key=lambda i: (-cosines[i], digests[i]))
+    scored = [(digests[i], similarity(query, graphs[i], mem.alpha, DIM))
+              for i in short[:max(4 * k, 32)]]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+def _assert_scores_match_oracle(mem, queries, k):
+    for query in queries:
+        want = _oracle(mem, query, k)
+        got = [(fingerprint(e.graph).digest, s) for e, s in mem.retrieve(query, k)]
+        assert got == want  # exact floats, no rounding
+        (digest, score), = _oracle(mem, query, 1)
+        decision = mem.decide(query, 0.98, 0.8, 1.0)
+        assert decision.matched is mem.entries()[digest]
+        assert decision.similarity == score
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("k", [1, 5, 50])
+def test_bounded_scoring_equals_the_oracle_on_random_memories(n, k):
+    mem = _diverse_memory(n, seed=n + k)
+    assert len(mem) > 0.8 * n
+    rng = random.Random(k)
+    stored = list(mem.entries().values())
+    queries = [build_graph(sorted({f"s{rng.randrange(30)}-{rng.randrange(3)}"
+                                   for _ in range(rng.randrange(1, 7))}), alert_id="q")
+               for _ in range(4)]
+    queries += [rng.choice(stored).graph for _ in range(2)]  # exact hits
+    _assert_scores_match_oracle(mem, queries, k)
+
+
+def _shared_embedding_memory(alpha):
+    """Graphs of 1-40 isolated ``q`` nodes share one embedding (their WL
+    counts are proportional) under distinct fingerprints; their pods'
+    metrics agree with the query's or sit far off. Graphs of ``r`` nodes on
+    pods p0-p3 with distinct edge sets have distinct embeddings and an
+    attribute similarity of one to a query on the same nodes, so with alpha
+    0 they tie at the bound."""
+    mem = Memory(dim=DIM, alpha=alpha)
+    rng = random.Random(5)
+    for m in range(1, 41):
+        pods = [f"p{i}" for i in range(m)]
+        metrics = {p: {"m": rng.choice([(10.0, 2.0), (1e6, 2.0)])} for p in pods}
+        mem.store(make_entry(_graph(pods, metrics=metrics, alert_id=f"m{m}")))
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for mask in range(1, 1 << len(pairs)):
+        edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+        mem.store(make_entry(_graph(["p0", "p1", "p2", "p3"], edges, service="r",
+                                    alert_id=f"e{mask}")))
+    return mem
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 5, 50])
+def test_bounded_scoring_keeps_ties_at_the_bound_and_the_fingerprint_order(alpha, k):
+    mem = _shared_embedding_memory(alpha)
+    pods = ["p0", "p1", "p2", "p3"]
+    queries = [_graph(pods), _graph(pods[:2]), _graph(pods[:1]),
+               _graph(pods, [(0, 1)], service="r")]
+    vectors = {tuple(embed(e.graph, DIM).vector) for e in mem.entries().values()}
+    assert len(mem) > len(vectors) + 30  # many entries share one embedding
+    _assert_scores_match_oracle(mem, queries, k)
+    # The best exact score is tied across fingerprints for some query.
+    assert any(a[1] == b[1] for a, b in (_oracle(mem, q, 2) for q in queries))
+
+
+def test_a_reuse_scores_only_entries_whose_cosine_ties_the_best(monkeypatch):
+    cfg = Config(baseline_minutes=5.0)
+    scenario = generate(ScenarioSpec(
+        services=8, depth=4, fault_kind="MetricSpike", seed=55, traces=6, victims=5,
+    ))
+    dup = duplicate_alerts(scenario, copies=9)
+    store = dup.to_store()
+    windows = windows_from_alerts(store.alerts, cfg.window_ms)
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+
+    scored = []  # graphs attribute_similarity compared the query with
+    real_attr = memory.attribute_similarity
+
+    def counting_attr(g_new, g_old, *args):
+        scored.append(g_old)
+        return real_attr(g_new, g_old, *args)
+
+    checked = []
+    real_decide = Memory.decide
+
+    def checking_decide(self, *args):
+        del scored[:]
+        decision = real_decide(self, *args)
+        if decision.kind == "Reuse":
+            q = decision.query.embedding.vector
+            slots = self._slots.values()
+            cosines = {id(s.entry.graph): cosine(q, self._matrix[s.row]) for s in slots}
+            best = max(cosines.values())
+            assert sorted(map(id, scored)) == sorted(g for g, c in cosines.items() if c == best)
+            checked.append(len(scored))
+        return decision
+
+    monkeypatch.setattr(memory, "attribute_similarity", counting_attr)
+    monkeypatch.setattr(Memory, "decide", checking_decide)
+    report = analyze_window(windows[0], store, dup.topology, mem, deterministic_policy(cfg), cfg)
+    assert not report.failures and len(mem) >= 3
+    assert len(checked) == report.decision_histogram["Reuse"] >= 40
+    assert set(checked) == {1}

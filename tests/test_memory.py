@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from rootcause import memory
 from rootcause.agents import VERDICTS, ChildCall, MetricAnomaly
 from rootcause.cli import main
 from rootcause.errors import EngineError, MemoryIntegrityError, MemoryValidationError
@@ -16,7 +17,7 @@ from rootcause.graph import (
     node_id_for,
     similarity,
 )
-from rootcause.memory import Decision, Memory, MemoryEntry, _checksum, remap
+from rootcause.memory import Decision, Memory, MemoryEntry, _checksum, remap, verify
 from rootcause.reasoner import Step, Transcript
 from rootcause.telemetry import LogEntry
 
@@ -578,3 +579,24 @@ def test_mistyped_field_fails_load_and_verify_at_its_json_path(tmp_path, capsys,
     assert str(err.value).startswith(where)
     assert main(["--memory", str(path), "memory", "verify"]) == 1
     assert f"VIOLATION {where}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ["a directory", "unreadable"])
+def test_unreadable_memory_path_is_an_integrity_error_naming_it(
+        tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "memory.jsonl"
+    if case == "a directory":
+        path.mkdir()
+    else:
+        Memory(dim=DIM).persist(path)
+
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(memory, "open", refuse, raising=False)
+    for read in (Memory.load, verify):
+        with pytest.raises(MemoryIntegrityError, match=re.escape(f"{path}: cannot read memory file")):
+            read(path)
+    assert main(["--memory", str(path), "memory", "verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err

@@ -35,6 +35,7 @@ from rootcause.telemetry import (
     LogEntry,
     MetricSample,
     TelemetryStore,
+    Topology,
 )
 
 from .conftest import T0, cycle_series, make_span, make_topology
@@ -639,10 +640,90 @@ def test_three_bands_keep_their_output_bytes_and_work(tmp_path, monkeypatch):
     mem.persist(tmp_path / "memory.jsonl")
     assert list(got) == ["Fresh", "Resume", "Reuse"]
     assert got == BAND_DIGESTS
-    # A Reuse costs remap and one ranking: reflection runs only with seeds.
+    # A Reuse costs a remap only: reflection runs only with seeds, and the
+    # remap marks no step stale, so the stored ranking stands.
     assert work == {
         "Fresh": {"reflection": 1, "ranking": 1},
         "Resume": {"reflection": 1, "ranking": 1},
-        "Reuse": {"reflection": 0, "ranking": 1},
+        "Reuse": {"reflection": 0, "ranking": 0},
     }
     assert sha((tmp_path / "memory.jsonl").read_text(encoding="utf-8")) == PERSISTED_DIGEST
+
+
+# -- a Reuse keeps the stored ranking only when consolidate would rebuild it ----
+
+
+def _counted_consolidate(monkeypatch):
+    calls = []
+    real = reasoner.consolidate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reasoner, "consolidate", counted)
+    return calls
+
+
+def _analyze(alert, store, topology, mem, cfg, calls):
+    """One analysis, the consolidate calls it made, and its ranking rows
+    against those ``consolidate`` gives its transcript."""
+    before = len(calls)
+    a = analyze_alert(alert, store, topology, mem, deterministic_policy(cfg), cfg)
+    want = consolidate(a.transcript.steps, topology, reasoner._weights(cfg)).as_rows()
+    assert a.ranking.as_rows() == want
+    return a, len(calls) - before
+
+
+def test_a_reuse_keeps_the_stored_ranking_unless_remap_marks_a_step_stale(monkeypatch):
+    calls = _counted_consolidate(monkeypatch)
+    store = generate(ScenarioSpec(fault_kind="MetricSpike", seed=1, victims=3)).to_store()
+    cfg = fast_config(tau_skip=0.0, tau_partial=0.0)  # every match is a Reuse
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    runs = [_analyze(alert, store, store.topology, mem, cfg, calls) for alert in store.alerts]
+    kinds = [a.decision.kind for a, _ in runs]
+    stale = [sum(s.stale for s in a.transcript.steps) for a, _ in runs]
+    assert kinds == ["Fresh", "Reuse", "Reuse"] and stale == [0, 2, 2]
+    # The second remap marks steps stale, so it consolidates; the third keeps
+    # every stored stale flag, so the stored ranking stands.
+    assert [n for _, n in runs] == [1, 1, 0]
+    runs[2][0].ranking.clear()  # an analysis's ranking is its own list
+    again, n = _analyze(store.alerts[2], store, store.topology, mem, cfg, calls)
+    assert n == 0 and again.ranking.as_rows() == runs[1][0].ranking.as_rows() != []
+
+
+def test_a_reuse_of_a_loaded_entry_consolidates(walkthrough, tmp_path, monkeypatch):
+    store, alert = walkthrough
+    calls = _counted_consolidate(monkeypatch)
+    cfg = fast_config()
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    _analyze(alert, store, store.topology, mem, cfg, calls)
+    mem.persist(tmp_path / "memory.jsonl")
+    loaded = Memory.load(tmp_path / "memory.jsonl")
+    reuse, n = _analyze(alert, store, store.topology, loaded, cfg, calls)
+    assert reuse.decision.kind == "Reuse" and n == 1
+    reuse, n = _analyze(alert, store, store.topology, loaded, cfg, calls)
+    assert reuse.decision.kind == "Reuse" and n == 0  # stored with its ranking now
+
+
+def test_a_reuse_under_another_topology_object_consolidates(walkthrough, monkeypatch):
+    store, alert = walkthrough
+    calls = _counted_consolidate(monkeypatch)
+    cfg = fast_config()
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    _analyze(alert, store, store.topology, mem, cfg, calls)
+    equal = Topology(dict(store.topology.pod_to_service), dict(store.topology.pod_to_node))
+    assert equal == store.topology and equal is not store.topology
+    reuse, n = _analyze(alert, store, equal, mem, cfg, calls)
+    assert reuse.decision.kind == "Reuse" and n == 1
+
+
+def test_a_reuse_under_other_score_weights_consolidates(walkthrough, monkeypatch):
+    store, alert = walkthrough
+    calls = _counted_consolidate(monkeypatch)
+    cfg = fast_config()
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    fresh, _ = _analyze(alert, store, store.topology, mem, cfg, calls)
+    reuse, n = _analyze(alert, store, store.topology, mem, fast_config(w_metric=2.0), calls)
+    assert reuse.decision.kind == "Reuse" and n == 1
+    assert reuse.ranking.as_rows() != fresh.ranking.as_rows()
