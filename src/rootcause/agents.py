@@ -97,10 +97,10 @@ class Step:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
     alert_id: str
-    steps: list[Step]  # initial before reflection
+    steps: tuple[Step, ...]  # initial before reflection
     truncated: tuple[str, ...] = ()  # stages ("initial", "reflection") a budget cut short
 
     def __post_init__(self):
@@ -134,7 +134,7 @@ class TranscriptJson:
 
     alert_id: str
     stage_markers: dict[str, int]
-    steps: list[Step]
+    steps: tuple[Step, ...]
 
     def transcript(self) -> Transcript:
         """The transcript, if its steps bear out its stage markers."""

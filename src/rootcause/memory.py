@@ -34,12 +34,18 @@ stored transcript, since ``consolidate`` reads no step's node or span;
 topology and weights, and ``None`` otherwise. A ranking is never written
 to the memory file, so an entry read from one consolidates.
 
-A memory file has one reader, ``_read``, so ``Memory.load`` and ``verify``
-(``rootcause memory verify``) refuse the same files: ``load`` raises the
-first problem, ``verify`` lists them all, each naming ``path:line``. Keys
-that arrive from outside the program are checked there and only there:
-each record's stored fingerprint and embedding must equal the keys its
-graph derives, under which the entry is then inserted.
+A memory file is a manifest line, then one sealed record line per entry:
+the sha256 hex digest of the record's canonical JSON text, a space, and
+that text, which holds the entry's timestamp, alert id, graph text and
+transcript. No key arrives from outside: ``_read`` checks each line's
+digest, parses its text once and inserts the entry under the keys one WL
+pass derives from its graph. A version-1 file, which stored the keys, is
+refused at line 1. ``Memory.load`` and ``verify`` (``rootcause memory
+verify``) share that reader: ``load`` raises the first problem,
+``verify`` lists them all, each naming ``path:line``. A slot keeps the
+line it was read from or last written as, and ``store`` keeps none, so
+``persist`` serialises only the entries stored since; an entry and its
+``Transcript`` are frozen, so none changes under its line.
 
 Retrieval is an exact linear scan over the embedding matrix; at the entry
 counts this engine sees (well under 1e4) an ANN index would be pure
@@ -49,8 +55,8 @@ changes.
 Concurrency: single writer, many readers. ``store`` and ``persist``
 serialize through one lock and readers always see a complete entry,
 never a partial one. A query's keys travel on its ``Decision``, never on
-the shared memory. ``persist`` replaces the file atomically, so a crash
-mid-write leaves the previous file intact.
+the shared memory. ``persist`` replaces the file atomically and syncs
+it, so a crash or power loss mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ import heapq
 import json
 import os
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -84,7 +89,7 @@ from .records import parse_json, read_record
 from .telemetry import Topology
 
 FORMAT_NAME = "rootcause-memory"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,7 @@ class _Slot(NamedTuple):
     row: int  # row of the entry's embedding in ``Memory._matrix``
     nodes: dict  # graph.node_index of the entry's graph
     ranked: Ranked | None  # the entry's ranking, if stored with one
+    line: str | None  # the record line read or last written; None: serialise
 
 
 class Memory:
@@ -210,16 +216,17 @@ class Memory:
         self._insert(entry, keyed, ranked)
 
     def _insert(self, entry: MemoryEntry, keyed: Keyed, ranked: Ranked | None = None,
-                problems: Sequence[str] = ()) -> None:
+                line: str | None = None) -> None:
         """Insert ``entry`` under ``keyed``, its graph's keys at this
-        memory's dim; raises ``MemoryValidationError`` listing ``problems``
-        and every step that is not stale yet names a node absent from the
-        graph (a stale step keeps the node ``remap`` could not rebind)."""
-        problems = [*problems, *(
+        memory's dim, with ``line``, the record line it was read from;
+        raises ``MemoryValidationError`` listing every step that is not
+        stale yet names a node absent from the graph (a stale step keeps
+        the node ``remap`` could not rebind)."""
+        problems = [
             f"transcript step {step.index} references node {step.node!r} "
             "absent from the stored graph"
             for step in entry.transcript.steps
-            if not step.stale and step.node not in entry.graph.nodes)]
+            if not step.stale and step.node not in entry.graph.nodes]
         if problems:
             raise MemoryValidationError("; ".join(problems))
         with self._lock:
@@ -238,7 +245,7 @@ class Memory:
             # The row is written before the slot and the order entry that
             # make it visible, so a reader never scores a half-stored entry.
             self._matrix[row] = keyed.embedding.vector
-            self._slots[fp] = _Slot(entry, fp, row, keyed.nodes, ranked)
+            self._slots[fp] = _Slot(entry, fp, row, keyed.nodes, ranked, line)
             if old is None:
                 self._order.append(fp)
             self._by_alert[entry.alert_id] = fp
@@ -334,27 +341,20 @@ class Memory:
     # -- persistence ----------------------------------------------------
 
     def persist(self, path) -> None:
-        """Write a manifest plus one checksummed record per entry."""
+        """Write a manifest plus one sealed record per entry, serialising
+        only the entries stored since they were last read or written."""
         with self._lock:
-            lines = [_canonical_json({
-                "format": FORMAT_NAME,
-                "version": FORMAT_VERSION,
-                "dim": self.dim,
-                "alpha": self.alpha,
-                "entries": len(self._order),
-            })]
+            lines = [_canonical_json(dict(
+                format=FORMAT_NAME, version=FORMAT_VERSION, dim=self.dim,
+                alpha=self.alpha, entries=len(self._order)))]
             for fp in self._order:
-                entry, _, row, _, _ = self._slots[fp]
-                body = {
-                    "fingerprint": fp,
-                    "timestamp_ms": entry.timestamp,
-                    "alert_id": entry.alert_id,
-                    "embedding": [float(x) for x in self._matrix[row]],
-                    "graph": to_text(entry.graph),
-                    "transcript": entry.transcript.as_dict(),
-                }
-                body["checksum"] = _checksum(body)
-                lines.append(_canonical_json(body))
+                slot = self._slots[fp]
+                if slot.line is None:
+                    entry = slot.entry
+                    slot = self._slots[fp] = slot._replace(line=_seal(dict(
+                        timestamp_ms=entry.timestamp, alert_id=entry.alert_id,
+                        graph=to_text(entry.graph), transcript=entry.transcript.as_dict())))
+                lines.append(slot.line)
         _write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
@@ -396,29 +396,40 @@ def remap(entry: MemoryEntry, g_new: CausalGraph) -> Transcript:
                 span=span_ids[0] if span_ids else step.span,
                 stale=False,
             ))
-    return Transcript(g_new.alert_id, steps, entry.transcript.truncated)
+    return Transcript(g_new.alert_id, tuple(steps), entry.transcript.truncated)
 
 
 def _write_atomic(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it
-    onto ``path``: readers see the old file or the new one, never a part."""
+    """Write ``text`` to a temporary file beside ``path``, sync it, rename
+    it onto ``path`` and sync the directory: readers, also after a crash or
+    power loss, see the old file or the new one, never a part."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _checksum(body: dict) -> str:
-    return hashlib.sha256(_canonical_json(body).encode()).hexdigest()
+def _seal(value) -> str:
+    """A record line: the sha256 hex digest of ``value``'s canonical JSON
+    text, one space, then that text; ``_read`` splits it."""
+    text = _canonical_json(value)
+    return f"{hashlib.sha256(text.encode()).hexdigest()} {text}"
 
 
 @dataclass(frozen=True)
@@ -431,11 +442,9 @@ class _Manifest:  # line 1 of a memory file
 
 
 @dataclass(frozen=True)
-class _Record:  # every later line of a memory file, less its checksum
-    fingerprint: str
+class _Record:  # the sealed text of every later line of a memory file
     timestamp_ms: int
     alert_id: str
-    embedding: list[float]
     graph: str
     transcript: TranscriptJson
 
@@ -443,8 +452,8 @@ class _Record:  # every later line of a memory file, less its checksum
 def _read(path) -> tuple[Memory | None, list[str]]:
     """The memory a file holds and every problem in it, each as
     ``path:line: message``, in file order. A bad manifest ends the read;
-    every record is read, its stored keys checked against the keys its
-    graph derives, and the entry inserted under those."""
+    every record's text is checked against its digest, read, and inserted
+    under the keys its graph derives, with its line for ``persist``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -466,25 +475,14 @@ def _read(path) -> tuple[Memory | None, list[str]]:
         )
     for lineno, raw in enumerate(lines[1:], start=2):
         try:
-            body = parse_json(raw)
-            # A body that is no JSON object has no checksum; read_record refuses it.
-            if isinstance(body, dict) and body.pop("checksum", None) != _checksum(body):
-                problems.append(f"{path}:{lineno}: checksum mismatch in entry record")
-                continue
-            record = read_record(_Record, body)
+            digest, _, text = raw.partition(" ")
+            if hashlib.sha256(text.encode()).hexdigest() != digest:
+                raise MemoryIntegrityError("checksum mismatch in entry record")
+            record = read_record(_Record, parse_json(text))
             keyed = mem._key(from_text(record.graph))
-            stored = np.asarray(record.embedding)
-            mismatch = []
-            if record.fingerprint != keyed.fingerprint:
-                mismatch.append(f"fingerprint {record.fingerprint[:12]} does not match "
-                                f"its graph (expected {keyed.fingerprint[:12]})")
-            if stored.shape != (mem.dim,):
-                mismatch.append(f"embedding has shape {stored.shape}, memory dim is {mem.dim}")
-            elif not np.allclose(stored, keyed.embedding.vector, atol=1e-12):
-                mismatch.append("embedding does not match its graph")
             entry = MemoryEntry(keyed.graph, (record.timestamp_ms, record.alert_id),
                                 record.transcript.transcript())
-            mem._insert(entry, keyed, problems=mismatch)
+            mem._insert(entry, keyed, line=raw)
         except EngineError as exc:
             problems.append(f"{path}:{lineno}: {exc}")
     mem.replacements = 0

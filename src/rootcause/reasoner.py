@@ -360,7 +360,7 @@ def initial_reasoning(
     accumulate into a frontier instead of terminating the walk."""
     state = RunState(cross_modal=False)
     recursive_rcl(entry, policy, runtime, budget, state, stage="Initial")
-    return Transcript(alert_id, state.steps, ("initial",) if state.truncated else ())
+    return Transcript(alert_id, tuple(state.steps), ("initial",) if state.truncated else ())
 
 
 def critical_reflection(
@@ -399,7 +399,8 @@ def critical_reflection(
             span, policy, runtime, budget, state, sibling_view=view,
             stage="Reflection", context="reflection over a still-suspect span",
         )
-    return Transcript(gamma0.alert_id, state.steps, ("reflection",) if state.truncated else ())
+    return Transcript(gamma0.alert_id, tuple(state.steps),
+                      ("reflection",) if state.truncated else ())
 
 
 # -- per-alert orchestration -----------------------------------------------------------
@@ -698,7 +699,7 @@ class _ExportedStep(Step):  # a step of an exported document: Step.as_dict and i
 
 @dataclass(frozen=True)
 class _ExportedTranscript(TranscriptJson):  # what export_transcript writes
-    steps: list[_ExportedStep]
+    steps: tuple[_ExportedStep, ...]
     topology: Topology
     ranking: list[_RankingRow]
 
@@ -715,7 +716,7 @@ def read_transcript(text: str) -> tuple[Transcript, Topology, list[dict]]:
         if evidence_digest(d) != step.evidence_digest:
             raise DataError(f"step {step.index} does not match its evidence digest")
         steps.append(Step(**{f.name: getattr(step, f.name) for f in fields(Step)}))
-    transcript = TranscriptJson(doc.alert_id, doc.stage_markers, steps).transcript()
+    transcript = TranscriptJson(doc.alert_id, doc.stage_markers, tuple(steps)).transcript()
     return transcript, doc.topology, [vars(row) for row in doc.ranking]
 
 

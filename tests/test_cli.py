@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -7,9 +9,9 @@ import pytest
 from rootcause import cli
 from rootcause.cli import main
 from rootcause.config import Config
-from rootcause.errors import ConfigError
+from rootcause.errors import ConfigError, MemoryIntegrityError
 from rootcause.llm import ReplayTransport
-from rootcause.memory import Memory, _checksum
+from rootcause.memory import Memory, _seal
 from rootcause.reasoner import evidence_digest
 from rootcause.telemetry import export
 
@@ -151,7 +153,7 @@ def test_eval_writes_report(tmp_path, capsys):
     assert (out / "records.csv").exists()
 
 
-def test_memory_verify_detects_hand_corrupted_fingerprint(tmp_path, capsys):
+def test_memory_verify_detects_a_hand_forged_record(tmp_path, capsys):
     data = tmp_path / "data"
     export(walkthrough_store(), data)
     mem_path = tmp_path / "memory.jsonl"
@@ -163,15 +165,15 @@ def test_memory_verify_detects_hand_corrupted_fingerprint(tmp_path, capsys):
     assert "verified" in capsys.readouterr().out
 
     lines = mem_path.read_text().splitlines()
-    body = json.loads(lines[1])
-    body.pop("checksum")
-    body["fingerprint"] = "f" * 64
-    body["checksum"] = _checksum(body)
-    lines[1] = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    body = json.loads(lines[1].partition(" ")[2])
+    body["transcript"]["steps"][0]["node"] = "ghost-0|ghost-0/op"  # sealed, yet not in the graph
+    lines[1] = _seal(body)
     mem_path.write_text("\n".join(lines) + "\n")
 
     assert run_cli("--memory", str(mem_path), "memory", "verify") == 1
-    assert "VIOLATION" in capsys.readouterr().out
+    assert f"VIOLATION {mem_path}:2: transcript step 0 references node" in capsys.readouterr().out
+    with pytest.raises(MemoryIntegrityError, match=f"^{re.escape(str(mem_path))}:2: "):
+        Memory.load(mem_path)
 
 
 def test_memory_list_and_show(tmp_path, capsys):
@@ -356,10 +358,13 @@ DEEP = "[" * 100_000 + "]" * 100_000  # deeper than json.loads can recurse
 
 
 def _memory_with_record(path, record):
+    """A memory file of one record line holding ``record``, text that need
+    not parse, so it is sealed by hand: its digest, a space, the text."""
     Memory(dim=16).persist(path)  # the manifest of an empty memory
     manifest = json.loads(path.read_text())
     manifest["entries"] = 1
-    path.write_text(f"{json.dumps(manifest)}\n{record}\n")
+    digest = hashlib.sha256(record.encode()).hexdigest()
+    path.write_text(f"{json.dumps(manifest)}\n{digest} {record}\n")
 
 
 def _session_log(path):

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import random
 import re
+import stat
 
 import pytest
 
@@ -17,7 +19,7 @@ from rootcause.graph import (
     node_id_for,
     similarity,
 )
-from rootcause.memory import Decision, Memory, MemoryEntry, _checksum, remap, verify
+from rootcause.memory import Decision, Memory, MemoryEntry, _seal, remap, verify
 from rootcause.reasoner import Step, Transcript
 from rootcause.telemetry import LogEntry
 
@@ -63,9 +65,9 @@ def make_entry(graph, alert_id=None, ts=T0, steps=None):
     node_ids = sorted(graph.nodes)
     transcript = Transcript(
         alert_id=aid,
-        steps=steps if steps is not None else [
+        steps=tuple(steps) if steps is not None else tuple(
             make_step(i, graph, nid) for i, nid in enumerate(node_ids)
-        ],
+        ),
     )
     return MemoryEntry(graph=graph, meta=(ts, aid), transcript=transcript)
 
@@ -328,10 +330,87 @@ def test_persist_load_round_trip_byte_identical(tmp_path):
     p2 = tmp_path / "mem2.jsonl"
     mem.persist(p1)
     loaded = Memory.load(p1)
+    # A loaded entry keeps its line, so re-persisting ``loaded`` proves
+    # little: store each loaded entry into a fresh memory, which serialises
+    # it, and compare those bytes.
+    again = Memory(dim=DIM)
+    for entry in loaded.entries().values():
+        again.store(entry)
+    again.persist(p2)
+    assert p1.read_bytes() == p2.read_bytes()
     loaded.persist(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert len(loaded) == len(mem)
     assert [e.transcript for e in loaded.entries().values()] == stored
+
+
+def _count_serialised(monkeypatch):
+    """The ``to_text`` calls ``persist`` makes, one per record it serialises."""
+    calls = []
+    real = memory.to_text
+
+    def counted(g):
+        calls.append(g.alert_id)
+        return real(g)
+
+    monkeypatch.setattr(memory, "to_text", counted)
+    return calls
+
+
+def test_persist_serialises_only_the_entries_stored_since_load(tmp_path, monkeypatch):
+    mem = Memory(dim=DIM)
+    for i in range(20):
+        mem.store(make_entry(build_graph([f"p{i}-0", f"q{i}-0"], alert_id=f"a{i}")))
+    path = tmp_path / "mem.jsonl"
+    mem.persist(path)
+    loaded = Memory.load(path)
+    for i in range(20, 23):
+        loaded.store(make_entry(build_graph([f"p{i}-0", f"q{i}-0"], alert_id=f"a{i}")))
+    calls = _count_serialised(monkeypatch)
+    loaded.persist(path)
+    assert calls == ["a20", "a21", "a22"]
+    loaded.persist(path)
+    assert calls == ["a20", "a21", "a22"]  # every line is kept once written
+    assert [e.alert_id for e in Memory.load(path).entries().values()] == \
+        [f"a{i}" for i in range(23)]
+
+
+def test_a_loaded_entry_replaced_by_store_is_serialised_again(tmp_path, monkeypatch):
+    mem = Memory(dim=DIM)
+    for i in range(3):
+        mem.store(make_entry(build_graph([f"p{i}-0", f"q{i}-0"], alert_id=f"a{i}")))
+    path = tmp_path / "mem.jsonl"
+    mem.persist(path)
+    loaded = Memory.load(path)
+    g = loaded.by_alert("a1").graph
+    loaded.store(make_entry(g, alert_id="replaced", ts=T0 + 9))
+    calls = _count_serialised(monkeypatch)
+    loaded.persist(path)
+    assert len(calls) == 1
+    again = Memory.load(path)
+    assert [e.alert_id for e in again.entries().values()] == ["a0", "replaced", "a2"]
+    assert again.by_alert("replaced").timestamp == T0 + 9
+
+
+def test_persist_syncs_the_new_file_before_it_replaces_the_old(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    mem = Memory(dim=DIM)
+    mem.store(make_entry(build_graph(["a-0", "b-0"])))
+    mem.persist(tmp_path / "mem.jsonl")
+    assert events == ["fsync file", "replace", "fsync dir"]
+    assert len(Memory.load(tmp_path / "mem.jsonl")) == 1
 
 
 def test_persist_load_retrieve_parity(tmp_path):
@@ -433,14 +512,25 @@ def test_decision_kind_validated():
 
 
 def _reseal(edit):
-    """Edit line 3's record and recompute its checksum, so only the edit is wrong."""
+    """Edit line 3's record and seal it again, so only the edit is wrong."""
     def corrupt(lines):
-        body = json.loads(lines[2])
-        del body["checksum"]
+        body = json.loads(lines[2].partition(" ")[2])
         edit(body)
-        body["checksum"] = _checksum(body)
-        lines[2] = json.dumps(body)
+        lines[2] = _seal(body)
     return corrupt
+
+
+def _respace(lines):
+    digest, _, text = lines[2].partition(" ")
+    lines[2] = f"{digest} {json.dumps(json.loads(text))}"
+
+
+def _unsealed(lines):
+    lines[2] = lines[2].partition(" ")[2]
+
+
+def _ghost_node(body):
+    body["transcript"]["steps"][0]["node"] = "ghost-0|ghost-0/op"
 
 
 def _tamper(lines):
@@ -481,12 +571,11 @@ CORRUPTIONS = {  # name -> (edit of the file's lines, line the problem is on)
         lambda body: body["transcript"]["stage_markers"].update(reflection=1)), 3),
     "truncated": (_truncate, 1),
     "missing key": (_reseal(lambda body: body.pop("timestamp_ms")), 3),
-    "embedding length": (_reseal(lambda body: body["embedding"].append(0.0)), 3),
-    "embedding norm": (_reseal(lambda body: body.update(
-        embedding=[2 * x for x in body["embedding"]])), 3),
     "unknown verdict": (_reseal(_unknown_verdict), 3),
     "unknown log level": (_reseal(_unknown_log_level), 3),
-    "fingerprint": (_reseal(lambda body: body.update(fingerprint="f" * 64)), 3),
+    "text re-spaced under its seal": (_respace, 3),
+    "no digest prefix": (_unsealed, 3),
+    "step names a node the graph lacks": (_reseal(_ghost_node), 3),
 }
 
 
@@ -521,13 +610,21 @@ def _step_edit(edit):
     return _reseal(lambda body: edit(body["transcript"]["steps"][0]))
 
 
+# A file as version 1 wrote it: each record stored its keys and a checksum field.
+VERSION_1_FILE = [
+    '{"alpha":0.5,"dim":64,"entries":1,"format":"rootcause-memory","version":1}',
+    '{"alert_id":"a0","checksum":"' + "0" * 64 + '","embedding":[1.0],'
+    '"fingerprint":"' + "f" * 64 + '","graph":"graph\\ta0","timestamp_ms":0,'
+    '"transcript":{"alert_id":"a0","stage_markers":{"initial":0,"reflection":0},"steps":[]}}',
+]
+
 MISTYPED = {  # name -> (edit of the file's lines, line, JSON path the refusal names)
     "timestamp as text": (_reseal(lambda body: body.update(timestamp_ms="yesterday")),
                           3, "'timestamp_ms' must be an integer"),
     "alert id as a number": (_reseal(lambda body: body.update(alert_id=7)),
                              3, "'alert_id' must be a string"),
-    "embedding item as text": (_reseal(lambda body: body["embedding"].__setitem__(0, "x")),
-                               3, "'embedding[0]' must be a number"),
+    "graph as a number": (_reseal(lambda body: body.update(graph=7)),
+                          3, "'graph' must be a string"),
     "errored as a number": (_step_edit(lambda step: step.update(errored=0)),
                             3, "'transcript.steps[0].errored' must be true or false"),
     "index as text": (_step_edit(lambda step: step.update(index="0")),
@@ -545,7 +642,7 @@ MISTYPED = {  # name -> (edit of the file's lines, line, JSON path the refusal n
                          3, "'transcript.steps[0].note' is an unknown key"),
     "step lacks stale": (_step_edit(lambda step: step.pop("stale")),
                          3, "'transcript.steps[0].stale' is missing"),
-    "record a list": (lambda lines: lines.__setitem__(2, "[1]"),
+    "record a list": (lambda lines: lines.__setitem__(2, _seal([1])),
                       3, "top level must be a JSON object, got [1]"),
     "unknown record key": (_reseal(lambda body: body.update(note="x")),
                            3, "'note' is an unknown key"),
@@ -555,6 +652,8 @@ MISTYPED = {  # name -> (edit of the file's lines, line, JSON path the refusal n
                                    1, "not a memory file"),
     "entries as a bool": (_manifest_edit(entries=True), 1, "'entries' must be an integer"),
     "version as a float": (_manifest_edit(version=1.0), 1, "'version' must be an integer"),
+    "a version-1 file": (lambda lines: lines.__setitem__(slice(None), VERSION_1_FILE),
+                         1, "unsupported version 1"),
 }
 
 

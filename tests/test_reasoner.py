@@ -269,12 +269,12 @@ def test_initial_step_count_never_exceeds_full_walk(walkthrough):
 
 
 def test_critical_reflection_empty_without_suspects():
-    gamma0 = Transcript(alert_id="al", steps=[])
+    gamma0 = Transcript(alert_id="al", steps=())
     store = chain_store(depth=2)
     cfg = fast_config()
     runtime = runtime_for(store, cfg)
     gamma1 = critical_reflection(gamma0, deterministic_policy(cfg), runtime, Budget())
-    assert gamma1.steps == []
+    assert gamma1.steps == ()
 
 
 def test_critical_reflection_confirms_deep_fault_and_marks_stage():
@@ -581,13 +581,31 @@ def test_render_transcript_separates_flags_with_comma_space(walkthrough):
         alert, store, store.topology, Memory(dim=cfg.embedding_dim),
         deterministic_policy(cfg), cfg,
     )
-    steps = analysis.transcript.steps
-    steps[:] = [dataclasses.replace(s, stale=i == 0, errored=i == 0) for i, s in enumerate(steps)]
+    steps = tuple(dataclasses.replace(s, stale=i == 0, errored=i == 0)
+                  for i, s in enumerate(analysis.transcript.steps))
+    analysis = dataclasses.replace(
+        analysis, transcript=dataclasses.replace(analysis.transcript, steps=steps))
     transcript, _, rows = read_transcript(export_transcript(analysis, store.topology))
     lines = render_transcript(transcript, rows).splitlines()
     flagged = [ln for ln in lines if "[stale" in ln]
     assert len(flagged) == 1
     assert flagged[0].endswith(" [stale, errored]")
+
+
+def test_an_analysis_cannot_edit_the_transcript_its_memory_stored(walkthrough):
+    store, alert = walkthrough
+    cfg = fast_config()
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    first = analyze_alert(alert, store, store.topology, mem, deterministic_policy(cfg), cfg)
+    steps = first.transcript.steps
+    assert steps and mem.by_alert(alert.alert_id).transcript is first.transcript
+    with pytest.raises(AttributeError):
+        first.transcript.steps.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.transcript.steps = ()
+    again = analyze_alert(alert, store, store.topology, mem, deterministic_policy(cfg), cfg)
+    assert again.decision.kind == "Reuse"
+    assert again.transcript.steps == steps
 
 
 # Output digests of the three bands on acceptance 05's scenario: any change
@@ -600,7 +618,7 @@ BAND_DIGESTS = {
     "Reuse": ("2ebcf47168358eb146a5cbe9ecc163a078b114ef4481b35384a5805900835141",
               "b573136851673e65c8fed2529b46d927160c51a872f2f78b73a4515b5fda5396"),
 }
-PERSISTED_DIGEST = "6b23335a6672118ea6079edd609a52a85e4f196088a658e9f74a286c1a6a2852"
+PERSISTED_DIGEST = "75d4d439f53579f97228d205f528bbff6dd854d0146c0a7be671a681d4c74319"
 
 
 def test_three_bands_keep_their_output_bytes_and_work(tmp_path, monkeypatch):
