@@ -32,7 +32,7 @@ g0 = extract(base, store, dup.topology, cfg.window_ms)
 print("=== canonical graph text (alert", base.alert_id, ") ===")
 print(to_text(g0))
 
-print("fingerprint:", fingerprint(g0).digest)
+print("fingerprint:", fingerprint(g0))
 vec = embed(g0, cfg.embedding_dim).vector
 print(f"embedding: dim={len(vec)}, norm={float((vec ** 2).sum()) ** 0.5:.6f}, "
       f"{int((vec != 0).sum())} active buckets")
@@ -41,7 +41,7 @@ clones = [a for a in dup.alerts if a.alert_id != base.alert_id]
 for alert in clones:
     g = extract(alert, store, dup.topology, cfg.window_ms)
     s = similarity(g, g0, cfg.alpha)
-    same_fp = fingerprint(g).digest == fingerprint(g0).digest
+    same_fp = fingerprint(g) == fingerprint(g0)
     moved = divergence(g, g0, cfg.delta)
     band = ("reuse" if s >= cfg.tau_skip else
             "resume" if s >= cfg.tau_partial else "fresh")

@@ -31,7 +31,6 @@ from .telemetry import (
 from .graph import (
     CausalGraph,
     Embedding,
-    Fingerprint,
     divergence,
     embed,
     extract,
@@ -70,7 +69,6 @@ __all__ = [
     "Decision",
     "DeterministicPolicy",
     "Embedding",
-    "Fingerprint",
     "LlmConfig",
     "LogEntry",
     "Memory",

@@ -23,7 +23,8 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,29 +63,23 @@ class EdgeAttributes:
     status_code: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class CausalGraph:
+    """An alert's graph; ``nodes`` and ``edges`` are read-only copies of the
+    mappings it is made with, so a stored graph never changes under the
+    keys derived from it."""
+
     alert_id: str
     window: tuple[int, int]
-    nodes: dict[str, NodeAttributes] = field(default_factory=dict)
-    edges: dict[tuple[str, str], EdgeAttributes] = field(default_factory=dict)
+    nodes: Mapping[str, NodeAttributes] = field(default_factory=dict)
+    edges: Mapping[tuple[str, str], EdgeAttributes] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         for (u, v) in self.edges:
             if u not in self.nodes or v not in self.nodes:
                 raise DataError(f"edge ({u}, {v}) references a missing node")
-
-    @property
-    def node_ids(self) -> list[str]:
-        return sorted(self.nodes)
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    digest: str  # 64 lowercase hex chars (256 bits)
-
-    def __str__(self) -> str:
-        return self.digest
 
 
 @dataclass(frozen=True)
@@ -218,8 +213,8 @@ def _assert_acyclic(nodes: dict, edges: dict) -> None:
 # -- Weisfeiler-Lehman labeling ----------------------------------------------
 
 
-def _wl_label_rounds(g: CausalGraph, rounds: int = WL_ROUNDS) -> list[dict[str, str]]:
-    """Label refinements for rounds 0..rounds over directed neighborhoods."""
+def _wl_label_rounds(g: CausalGraph) -> list[dict[str, str]]:
+    """Label refinements for rounds 0..WL_ROUNDS over directed neighborhoods."""
     labels = {nid: g.nodes[nid].wl_label for nid in g.nodes}
     out_adj: dict[str, list[str]] = {nid: [] for nid in g.nodes}
     in_adj: dict[str, list[str]] = {nid: [] for nid in g.nodes}
@@ -227,7 +222,7 @@ def _wl_label_rounds(g: CausalGraph, rounds: int = WL_ROUNDS) -> list[dict[str, 
         out_adj[u].append(v)
         in_adj[v].append(u)
     history = [dict(labels)]
-    for _ in range(rounds):
+    for _ in range(WL_ROUNDS):
         new_labels = {}
         for nid in g.nodes:
             outs = sorted(labels[v] for v in out_adj[nid])
@@ -239,25 +234,23 @@ def _wl_label_rounds(g: CausalGraph, rounds: int = WL_ROUNDS) -> list[dict[str, 
     return history
 
 
-def graph_key(
-    g: CausalGraph, dim: int = DEFAULT_DIM, rounds: int = WL_ROUNDS
-) -> tuple[Fingerprint, Embedding]:
+def graph_key(g: CausalGraph, dim: int = DEFAULT_DIM) -> tuple[str, Embedding]:
     """Both keys of a graph from one WL refinement.
 
-    The fingerprint is a canonical topology hash: an order-independent
-    digest of the sorted multiset of final WL labels, so insertion order
-    never matters. The embedding hashes the WL subtree features of every
-    round into ``dim`` count buckets with a fixed key and L2-normalizes
-    them. Counts never cancel, so a non-empty graph always has norm one and
-    isomorphic graphs map to identical vectors; the empty graph maps to the
-    zero vector. Both are exact functions of the graph, so a caller may
+    The fingerprint is a canonical topology hash, 64 lowercase hex chars:
+    an order-independent digest of the sorted multiset of final WL labels,
+    so insertion order never matters. The embedding hashes the WL subtree
+    features of every round into ``dim`` count buckets with a fixed key and
+    L2-normalizes them. Counts never cancel, so a non-empty graph always
+    has norm one and isomorphic graphs map to identical vectors; the empty
+    graph maps to the zero vector. Both are exact functions of the graph, so a caller may
     compute them once and keep them.
     """
     if dim < 8:
         raise DataError(f"embedding dim must be >= 8, got {dim}")
-    history = _wl_label_rounds(g, rounds)
-    payload = f"wlfp.v1|rounds={rounds}|" + "\n".join(sorted(history[-1].values()))
-    f = Fingerprint(hashlib.sha256(payload.encode()).hexdigest())
+    history = _wl_label_rounds(g)
+    payload = f"wlfp.v1|rounds={WL_ROUNDS}|" + "\n".join(sorted(history[-1].values()))
+    f = hashlib.sha256(payload.encode()).hexdigest()
     vec = np.zeros(dim, dtype=np.float64)
     for feature, count in _features(history).items():
         vec[feature_bucket(feature, dim)] += count
@@ -267,15 +260,15 @@ def graph_key(
     return f, Embedding(vector=vec)
 
 
-def fingerprint(g: CausalGraph, rounds: int = WL_ROUNDS) -> Fingerprint:
+def fingerprint(g: CausalGraph) -> str:
     """Canonical topology hash of ``g``; see ``graph_key``."""
-    return graph_key(g, rounds=rounds)[0]
+    return graph_key(g)[0]
 
 
-def embed(g: CausalGraph, dim: int = DEFAULT_DIM, rounds: int = WL_ROUNDS) -> Embedding:
+def embed(g: CausalGraph, dim: int = DEFAULT_DIM) -> Embedding:
     """Deterministic whole-graph embedding for nearest-neighbor retrieval;
     see ``graph_key``."""
-    return graph_key(g, dim, rounds)[1]
+    return graph_key(g, dim)[1]
 
 
 def _features(history: list[dict[str, str]]) -> Counter:

@@ -1,10 +1,10 @@
 """Graph-keyed reasoning memory.
 
 Each analyzed alert leaves behind an entry: the causal graph, metadata,
-and the full reasoning transcript. A new alert first runs nearest-neighbor
-search over the stored embeddings, then exact similarity scoring on the
-shortlist, and lands in one of three bands: reuse the stored transcript
-outright, resume reasoning at the nodes that diverged, or start fresh.
+and the full reasoning transcript. A new alert asks the memory one
+question, ``decide``, and lands in one of three bands: reuse the stored
+transcript outright, resume reasoning at the nodes that diverged, or
+start fresh.
 
 The memory is the one place that derives a graph's keys, and it derives
 them once per alert. ``decide`` keys its query in one WL pass at the
@@ -19,12 +19,14 @@ cached rows and node maps. Both keys are fixed functions of the graph, so
 neither cache can change a result. ``store`` refuses only an entry whose
 transcript names a node its graph lacks.
 
-Exact scoring is pruned by a bound: a candidate's similarity is at most
-its blend with an attribute similarity of one, so a shortlisted entry
-whose bound falls strictly below the k-th best exact score so far cannot
-enter the top k and is not scored. The blend is monotone in the attribute
-similarity under IEEE rounding, and an entry tied at the bound is still
-scored, so the result and its fingerprint tie-break are exact.
+``decide`` scores exactly the ``SHORTLIST`` entries of highest embedding
+cosine and keeps the best, ties broken by fingerprint. Exact scoring is
+pruned by a bound: a candidate's similarity is at most its blend with an
+attribute similarity of one, so a shortlisted entry whose bound falls
+strictly below the best exact score so far cannot win and is not scored.
+The blend is monotone in the attribute similarity under IEEE rounding,
+and an entry tied at the bound is still scored, so the match and its
+fingerprint tie-break are exact.
 
 An entry stored with its ranking keeps it, with the topology object and
 the ``ScoreWeights`` it was consolidated under (``Ranked``). A Reuse whose
@@ -44,13 +46,9 @@ refused at line 1. ``Memory.load`` and ``verify`` (``rootcause memory
 verify``) share that reader: ``load`` raises the first problem,
 ``verify`` lists them all, each naming ``path:line``. A slot keeps the
 line it was read from or last written as, and ``store`` keeps none, so
-``persist`` serialises only the entries stored since; an entry and its
-``Transcript`` are frozen, so none changes under its line.
-
-Retrieval is an exact linear scan over the embedding matrix; at the entry
-counts this engine sees (well under 1e4) an ANN index would be pure
-overhead. ``Memory._nn_shortlist`` is the seam to replace if that ever
-changes.
+``persist`` serialises only the entries stored since; an entry, its
+``CausalGraph`` and its ``Transcript`` are frozen, so none changes under
+its line or its keys.
 
 Concurrency: single writer, many readers. ``store`` and ``persist``
 serialize through one lock and readers always see a complete entry,
@@ -62,7 +60,6 @@ it, so a crash or power loss mid-write leaves the previous file intact.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
 import threading
@@ -90,6 +87,7 @@ from .telemetry import Topology
 
 FORMAT_NAME = "rootcause-memory"
 FORMAT_VERSION = 2
+SHORTLIST = 32  # entries of highest embedding cosine that ``decide`` scores exactly
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class Keyed(NamedTuple):
     ``Decision``."""
 
     graph: CausalGraph
-    fingerprint: str  # digest of the graph's fingerprint
+    fingerprint: str  # the graph's fingerprint
     embedding: Embedding
     nodes: dict  # graph.node_index of the graph
 
@@ -161,7 +159,7 @@ class _Slot(NamedTuple):
     """A stored entry with the keys derived from its graph."""
 
     entry: MemoryEntry
-    fingerprint: str  # digest of the graph's fingerprint
+    fingerprint: str  # the graph's fingerprint
     row: int  # row of the entry's embedding in ``Memory._matrix``
     nodes: dict  # graph.node_index of the entry's graph
     ranked: Ranked | None  # the entry's ranking, if stored with one
@@ -181,7 +179,6 @@ class Memory:
         self._slots: dict[str, _Slot] = {}
         self._order: list[str] = []  # insertion order of fingerprints = matrix rows
         self._matrix = np.zeros((0, dim), dtype=np.float64)  # capacity >= len(_order)
-        self._by_alert: dict[str, str] = {}
         self._lock = threading.Lock()
         self.replacements = 0
 
@@ -189,17 +186,21 @@ class Memory:
         return len(self._slots)
 
     def entries(self) -> dict[str, MemoryEntry]:
-        """Every stored entry by its fingerprint digest, in store order."""
+        """Every stored entry by its fingerprint, in store order."""
         return {fp: self._slots[fp].entry for fp in self._order}
 
     def by_alert(self, alert_id: str) -> MemoryEntry | None:
-        fp = self._by_alert.get(alert_id)
-        return self._slots[fp].entry if fp else None
+        """The entry stored for ``alert_id`` that comes last in store order;
+        ``None`` if every entry stored for it was replaced."""
+        for fp in reversed(self._order):
+            entry = self._slots[fp].entry
+            if entry.alert_id == alert_id:
+                return entry
+        return None
 
     def _key(self, g: CausalGraph) -> Keyed:
         """``g`` keyed in one WL pass at this memory's dim."""
-        f, e = graph_key(g, self.dim)
-        return Keyed(g, f.digest, e, node_index(g))
+        return Keyed(g, *graph_key(g, self.dim), node_index(g))
 
     def store(self, entry: MemoryEntry, keyed: Keyed | None = None,
               ranked: Ranked | None = None) -> None:
@@ -234,7 +235,6 @@ class Memory:
             old = self._slots.get(fp)
             if old is not None:
                 self.replacements += 1
-                self._by_alert.pop(old.entry.alert_id, None)
                 row = old.row
             else:
                 row = len(self._order)
@@ -248,75 +248,54 @@ class Memory:
             self._slots[fp] = _Slot(entry, fp, row, keyed.nodes, ranked, line)
             if old is None:
                 self._order.append(fp)
-            self._by_alert[entry.alert_id] = fp
 
     # -- retrieval ------------------------------------------------------
 
-    def _nn_shortlist(self, query: np.ndarray, k_prime: int) -> list[_Slot]:
-        """The k_prime entries of highest embedding cosine, ties broken by
-        fingerprint: the first k_prime of all entries sorted by
-        (-cosine, fingerprint)."""
+    def _nn_shortlist(self, query: np.ndarray) -> list[_Slot]:
+        """The ``SHORTLIST`` entries of highest embedding cosine, ties
+        broken by fingerprint: the first ``SHORTLIST`` of all entries
+        sorted by (-cosine, fingerprint)."""
         order = self._order
         n = len(order)
-        if not n:
-            return []
         neg = -(self._matrix[:n] @ query)  # embeddings are unit or zero norm
-        if n > k_prime:
-            # Every entry tied with the k_prime-th cosine stays a candidate,
+        if n > SHORTLIST:
+            # Every entry tied with the SHORTLIST-th cosine stays a candidate,
             # so the fingerprint tie-break below sees all of them.
-            cut = np.partition(neg, k_prime - 1)[k_prime - 1]
+            cut = np.partition(neg, SHORTLIST - 1)[SHORTLIST - 1]
             candidates = np.flatnonzero(neg <= cut).tolist()
         else:
             candidates = range(n)
-        ranked = sorted(candidates, key=lambda i: (neg[i], order[i]))[:k_prime]
+        ranked = sorted(candidates, key=lambda i: (neg[i], order[i]))[:SHORTLIST]
         return [self._slots[order[i]] for i in ranked]
 
-    def _scored(self, query: Keyed, k: int) -> list[tuple[_Slot, float]]:
-        """The top k of the cosine shortlist of size max(4k, 32) by exact
-        similarity, ties broken by fingerprint. A shortlisted entry whose
-        bound, its similarity at an attribute similarity of one, is strictly
-        below the k-th best exact score so far is not scored: its score is
-        at most that bound, so it cannot reach the top k."""
+    def _best(self, query: Keyed) -> tuple[_Slot, float]:
+        """The shortlisted entry of highest exact similarity, ties broken
+        by fingerprint, and its score; the memory is not empty. A
+        shortlisted entry whose bound, its similarity at an attribute
+        similarity of one, is strictly below the best exact score so far
+        is not scored: its score is at most that bound, so it cannot win."""
         q = query.embedding.vector
-        top: list[float] = []  # min-heap of the k best exact scores so far
-        scored = []
-        for slot in self._nn_shortlist(q, max(4 * k, 32)):
+        best, best_score = None, 0.0
+        for slot in self._nn_shortlist(q):
             # cosine() on the cached row, not the shortlist's dot product:
             # that skips the norm division and may differ in the last bit.
             cos = cosine(q, self._matrix[slot.row])
-            if len(top) == k and blend_similarity(self.alpha, cos, 1.0) < top[0]:
+            if best is not None and blend_similarity(self.alpha, cos, 1.0) < best_score:
                 continue
             s_attr = attribute_similarity(query.graph, slot.entry.graph, query.nodes, slot.nodes)
             score = blend_similarity(self.alpha, cos, s_attr)
-            scored.append((slot, score))
-            if len(top) < k:
-                heapq.heappush(top, score)
-            elif score > top[0]:
-                heapq.heapreplace(top, score)
-        scored.sort(key=lambda pair: (-pair[1], pair[0].fingerprint))
-        return scored[:k]
-
-    def retrieve(self, g_new: CausalGraph, k: int) -> list[tuple[MemoryEntry, float]]:
-        """Top-k stored entries by exact similarity.
-
-        ``g_new`` is keyed once, at this memory's dim, unless the memory is
-        empty. A cosine shortlist of size max(4k, 32) is scored exactly,
-        pruned by bound, which changes no result; whenever the store fits
-        inside the shortlist this equals exhaustive search.
-        """
-        if k < 1:
-            raise MemoryValidationError(f"retrieve k must be >= 1, got {k}")
-        if not self._order:
-            return []
-        return [(slot.entry, score) for slot, score in self._scored(self._key(g_new), k)]
+            if best is None or score > best_score or \
+                    (score == best_score and slot.fingerprint < best.fingerprint):
+                best, best_score = slot, score
+        return best, best_score
 
     def decide(
         self, g_new: CausalGraph, tau_skip: float, tau_partial: float, delta: float
     ) -> Decision:
-        """Three-way reuse decision against the best stored match, scored as
-        ``retrieve`` scores k = 1. Unless the memory is empty, ``g_new`` is
-        keyed once and its keys ride on the decision as ``query``, for
-        ``store`` to reuse; ``ranked`` is the matched entry's kept ranking."""
+        """Three-way reuse decision against the best stored match of the
+        shortlist. Unless the memory is empty, ``g_new`` is keyed once and
+        its keys ride on the decision as ``query``, for ``store`` to reuse;
+        ``ranked`` is the matched entry's kept ranking."""
         if not (0.0 <= tau_partial <= tau_skip <= 1.0):
             raise MemoryValidationError(
                 f"need 0 <= tau_partial <= tau_skip <= 1, got {tau_partial}, {tau_skip}"
@@ -324,7 +303,7 @@ class Memory:
         if not self._order:
             return Decision(kind="Fresh", matched=None, similarity=0.0)
         query = self._key(g_new)
-        slot, score = self._scored(query, 1)[0]
+        slot, score = self._best(query)
         entry = slot.entry
         found = dict(matched=entry, similarity=score, query=query, ranked=slot.ranked)
         if score >= tau_skip:

@@ -430,7 +430,6 @@ class AlertAnalysis:
     ranking: RootCauseRanking
     transcript: Transcript
     decision: Decision
-    entry: MemoryEntry
     counters: Counters
     wall_ms: float
     unsaved: bool = False
@@ -515,9 +514,9 @@ def analyze_alert(
     if ranking is None:
         ranking = consolidate(transcript.steps, topology, weights)
 
-    entry = MemoryEntry(graph=g, meta=(alert.timestamp, alert.alert_id), transcript=transcript)
     unsaved = False
     if mem is not None:
+        entry = MemoryEntry(graph=g, meta=(alert.timestamp, alert.alert_id), transcript=transcript)
         try:
             mem.store(entry, decision.query, Ranked(tuple(ranking), topology, weights))
         except Exception:  # noqa: BLE001 - the ranking is already computed
@@ -533,7 +532,6 @@ def analyze_alert(
         ranking=ranking,
         transcript=transcript,
         decision=decision,
-        entry=entry,
         counters=counters,
         wall_ms=(timer() - t_begin) * 1000.0,
         unsaved=unsaved,
@@ -562,14 +560,10 @@ class WindowReport:
         return sum(a.counters.policy_calls for a in self.analyses)
 
     @property
-    def total_wall_ms(self) -> float:
-        return sum(a.wall_ms for a in self.analyses)
-
-    @property
     def seconds_per_query(self) -> float:
         if not self.analyses:
             return 0.0
-        return self.total_wall_ms / len(self.analyses) / 1000.0
+        return sum(a.wall_ms for a in self.analyses) / len(self.analyses) / 1000.0
 
     def as_dict(self, include_timing: bool = True) -> dict:
         out = {

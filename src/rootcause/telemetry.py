@@ -27,8 +27,8 @@ Each rule on the data is checked in exactly one of three layers:
 Metric samples are stored as columns: one timestamp array and one value
 array per (component, metric) series, each sorted once by timestamp. The
 readers slice them with :meth:`TelemetryStore.metric_window`;
-:meth:`TelemetryStore.metric_series`, :func:`slice_window` and
-``store.metrics`` build :class:`MetricSample` records on demand.
+:func:`slice_window` and ``store.metrics`` build :class:`MetricSample`
+records on demand.
 
 The store is immutable after ingest and safe for unrestricted concurrent
 reads; ingest itself is single-threaded per store instance.
@@ -427,16 +427,6 @@ class TelemetryStore:
             raise NotFoundError(f"unknown trace_id {trace_id}")
 
     @property
-    def trace_ids(self) -> list[str]:
-        return sorted(self._trace_spans)
-
-    def root_of(self, trace_id: str) -> Span:
-        for s in self.trace(trace_id):
-            if s.is_root:
-                return s
-        raise NotFoundError(f"trace {trace_id} has no root span")
-
-    @property
     def metrics(self) -> tuple[MetricSample, ...]:
         """Every metric sample, ordered by (component, metric, timestamp),
         built anew on each access."""
@@ -460,13 +450,6 @@ class TelemetryStore:
         lo = bisect.bisect_left(times, t_lo)
         hi = bisect.bisect_right(times, t_hi)
         return times[lo:hi], values[lo:hi]
-
-    def metric_series(
-        self, component: str, metric: str, t_lo: int, t_hi: int
-    ) -> list[MetricSample]:
-        """Samples for one series with timestamp in the closed [t_lo, t_hi]."""
-        times, values = self.metric_window(component, metric, t_lo, t_hi)
-        return [MetricSample(t, component, metric, v) for t, v in zip(times, values)]
 
     def logs_between(self, component: str, t_lo: int, t_hi: int) -> list[LogEntry]:
         entries = self._logs_by_component.get(component)
@@ -498,7 +481,8 @@ def slice_window(
     logs = store.logs_between(component, t_lo, t_hi)
     metrics: list[MetricSample] = []
     for metric in store.metrics_of(component):
-        metrics.extend(store.metric_series(component, metric, t_lo, t_hi))
+        times, values = store.metric_window(component, metric, t_lo, t_hi)
+        metrics.extend(MetricSample(t, component, metric, v) for t, v in zip(times, values))
     metrics.sort(key=lambda m: (m.timestamp, m.metric))
     return logs, metrics
 

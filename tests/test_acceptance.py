@@ -167,7 +167,7 @@ def test_acceptance_03_fingerprint_similarity_properties():
         rng.shuffle(items_n)
         rng.shuffle(items_e)
         g_perm = CausalGraph("perm", (7, 8), dict(items_n), dict(items_e))
-        assert fingerprint(g).digest == fingerprint(g_perm).digest
+        assert fingerprint(g) == fingerprint(g_perm)
         assert np.array_equal(embed(g).vector, embed(g_perm).vector)
 
     for i in range(100):
@@ -223,7 +223,7 @@ def test_acceptance_05_resume_precision():
     resumed = analyze_alert(jittered_alert, store, dup.topology, mem, policy, cfg)
     assert resumed.decision.kind == "Resume"
 
-    g_new = resumed.entry.graph
+    g_new = resumed.decision.query.graph
     expected_nodes = {
         nid for nid in g_new.nodes if g_new.nodes[nid].pod_id == scenario.truth_pod
     }
@@ -312,7 +312,7 @@ def test_acceptance_08_efficiency_from_reuse():
     windows = windows_from_alerts(store.alerts, cfg.window_ms)
     assert len(windows) == 1 and len(windows[0].alerts) == 50
     distinct_prints = {
-        fingerprint(extract(a, store, dup.topology, cfg.window_ms)).digest
+        fingerprint(extract(a, store, dup.topology, cfg.window_ms))
         for a in scenario.alerts
     }
     assert len(distinct_prints) >= 3  # the five seeds are not one shape

@@ -139,6 +139,17 @@ def test_serialization_round_trip(walkthrough):
 # -- fingerprint ---------------------------------------------------------------
 
 
+def test_graph_keeps_a_read_only_copy_of_its_mappings():
+    g = labeled_graph([("a", "b")])
+    nodes, edges = dict(g.nodes), dict(g.edges)
+    copy = CausalGraph("copy", (0, 1), nodes, edges)
+    nodes.clear()
+    edges.clear()
+    assert copy.nodes == g.nodes and copy.edges == g.edges
+    with pytest.raises(TypeError):
+        copy.nodes["a"] = g.nodes[next(iter(g.nodes))]
+
+
 def test_fingerprint_ignores_insertion_order():
     g1 = labeled_graph([("a", "b"), ("a", "c"), ("c", "d")])
     reversed_nodes = dict(reversed(list(g1.nodes.items())))
@@ -191,7 +202,7 @@ def test_fingerprint_separates_path_from_star():
 def test_fingerprint_empty_graph_is_fixed():
     g = CausalGraph(alert_id="none", window=(0, 1))
     expected = hashlib.sha256(b"wlfp.v1|rounds=3|").hexdigest()
-    assert fingerprint(g).digest == expected
+    assert fingerprint(g) == expected
 
 
 # -- embedding ------------------------------------------------------------------

@@ -97,17 +97,20 @@ def _random_memory(n, seed):
 
 
 def _brute_force(mem, query, k):
+    """The best ``k`` (fingerprint, score) of every stored entry by
+    ``similarity``, ties broken by fingerprint."""
     scored = [(fp, similarity(query, e.graph, mem.alpha, DIM))
               for fp, e in mem.entries().items()]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
 
 
-@pytest.mark.parametrize("k", [1, 5, 50])
+@pytest.mark.parametrize("k", [1])  # decide retrieves the one best match
 def test_keyed_retrieve_equals_recomputed_similarity_bit_for_bit(k):
     mem = _random_memory(50, seed=17)
     query = build_graph(["s1-0", "s2-1", "s3-2"], alert_id="query")
-    got = [(fingerprint(e.graph).digest, s) for e, s in mem.retrieve(query, k)]
+    decision = mem.decide(query, 0.98, 0.8, 1.0)
+    got = [(fingerprint(decision.matched.graph), decision.similarity)]
     assert got == _brute_force(mem, query, k)  # exact floats, no rounding
 
 
@@ -129,7 +132,7 @@ def test_shortlist_ties_at_the_cut_match_the_full_sort():
         mem.store(make_entry(build_graph(["q-0", f"x{i}-0"], edges="none",
                                          alert_id=f"a{i}")))
     query = embed(build_graph(["q-0"], alert_id="query"), DIM).vector
-    k_prime = 32
+    k_prime = memory.SHORTLIST
 
     digests = list(mem.entries())
     cosines = np.stack([embed(e.graph, DIM).vector for e in mem.entries().values()]) @ query
@@ -141,7 +144,7 @@ def test_shortlist_ties_at_the_cut_match_the_full_sort():
     inside = sum(1 for i in full[:k_prime] if cosines[i] == cut)
     assert tied > inside >= 1  # the tie group straddles the cut
 
-    got = [slot.fingerprint for slot in mem._nn_shortlist(query, k_prime)]
+    got = [slot.fingerprint for slot in mem._nn_shortlist(query)]
     assert got == want
 
 
@@ -169,8 +172,8 @@ def _diverse_memory(n, seed):
     return mem
 
 
-def _oracle(mem, query, k):
-    """Top k of the cosine shortlist of size max(4k, 32) by ``similarity``,
+def _oracle(mem, query):
+    """The cosine shortlist of size ``SHORTLIST`` scored by ``similarity``,
     which re-derives both graphs' keys, scoring every shortlisted entry:
     (fingerprint, score) pairs sorted by (-score, fingerprint)."""
     digests = list(mem.entries())
@@ -179,69 +182,70 @@ def _oracle(mem, query, k):
     cosines = np.stack([embed(g, DIM).vector for g in graphs]) @ q  # as the shortlist
     short = sorted(range(len(digests)), key=lambda i: (-cosines[i], digests[i]))
     scored = [(digests[i], similarity(query, graphs[i], mem.alpha, DIM))
-              for i in short[:max(4 * k, 32)]]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+              for i in short[:memory.SHORTLIST]]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
 
-def _assert_scores_match_oracle(mem, queries, k):
+def _assert_decide_matches_oracle(mem, queries):
     for query in queries:
-        want = _oracle(mem, query, k)
-        got = [(fingerprint(e.graph).digest, s) for e, s in mem.retrieve(query, k)]
-        assert got == want  # exact floats, no rounding
-        (digest, score), = _oracle(mem, query, 1)
+        digest, score = _oracle(mem, query)[0]
         decision = mem.decide(query, 0.98, 0.8, 1.0)
         assert decision.matched is mem.entries()[digest]
-        assert decision.similarity == score
+        assert decision.similarity == score  # exact floats, no rounding
 
 
 @pytest.mark.parametrize("n", [100, 1000])
-@pytest.mark.parametrize("k", [1, 5, 50])
-def test_bounded_scoring_equals_the_oracle_on_random_memories(n, k):
-    mem = _diverse_memory(n, seed=n + k)
+@pytest.mark.parametrize("seed", [1, 5, 50])
+def test_bounded_scoring_equals_the_oracle_on_random_memories(n, seed):
+    mem = _diverse_memory(n, seed=n + seed)
     assert len(mem) > 0.8 * n
-    rng = random.Random(k)
+    rng = random.Random(seed)
     stored = list(mem.entries().values())
     queries = [build_graph(sorted({f"s{rng.randrange(30)}-{rng.randrange(3)}"
                                    for _ in range(rng.randrange(1, 7))}), alert_id="q")
                for _ in range(4)]
     queries += [rng.choice(stored).graph for _ in range(2)]  # exact hits
-    _assert_scores_match_oracle(mem, queries, k)
+    _assert_decide_matches_oracle(mem, queries)
 
 
-def _shared_embedding_memory(alpha):
+def _shared_embedding_memory(alpha, seed):
     """Graphs of 1-40 isolated ``q`` nodes share one embedding (their WL
     counts are proportional) under distinct fingerprints; their pods'
     metrics agree with the query's or sit far off. Graphs of ``r`` nodes on
     pods p0-p3 with distinct edge sets have distinct embeddings and an
     attribute similarity of one to a query on the same nodes, so with alpha
-    0 they tie at the bound."""
-    mem = Memory(dim=DIM, alpha=alpha)
+    0 they tie at the bound. ``seed`` shuffles the store order, so the
+    matrix rows and the order a tie group meets the scan differ."""
     rng = random.Random(5)
+    entries = []
     for m in range(1, 41):
         pods = [f"p{i}" for i in range(m)]
         metrics = {p: {"m": rng.choice([(10.0, 2.0), (1e6, 2.0)])} for p in pods}
-        mem.store(make_entry(_graph(pods, metrics=metrics, alert_id=f"m{m}")))
+        entries.append(make_entry(_graph(pods, metrics=metrics, alert_id=f"m{m}")))
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     for mask in range(1, 1 << len(pairs)):
         edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
-        mem.store(make_entry(_graph(["p0", "p1", "p2", "p3"], edges, service="r",
-                                    alert_id=f"e{mask}")))
+        entries.append(make_entry(_graph(["p0", "p1", "p2", "p3"], edges, service="r",
+                                         alert_id=f"e{mask}")))
+    random.Random(seed).shuffle(entries)
+    mem = Memory(dim=DIM, alpha=alpha)
+    for entry in entries:
+        mem.store(entry)
     return mem
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("k", [1, 5, 50])
-def test_bounded_scoring_keeps_ties_at_the_bound_and_the_fingerprint_order(alpha, k):
-    mem = _shared_embedding_memory(alpha)
+@pytest.mark.parametrize("seed", [1, 5, 50])
+def test_bounded_scoring_keeps_ties_at_the_bound_and_the_fingerprint_order(alpha, seed):
+    mem = _shared_embedding_memory(alpha, seed)
     pods = ["p0", "p1", "p2", "p3"]
     queries = [_graph(pods), _graph(pods[:2]), _graph(pods[:1]),
                _graph(pods, [(0, 1)], service="r")]
     vectors = {tuple(embed(e.graph, DIM).vector) for e in mem.entries().values()}
     assert len(mem) > len(vectors) + 30  # many entries share one embedding
-    _assert_scores_match_oracle(mem, queries, k)
+    _assert_decide_matches_oracle(mem, queries)
     # The best exact score is tied across fingerprints for some query.
-    assert any(a[1] == b[1] for a, b in (_oracle(mem, q, 2) for q in queries))
+    assert any(a[1] == b[1] for a, b in (_oracle(mem, q)[:2] for q in queries))
 
 
 def test_a_reuse_scores_only_entries_whose_cosine_ties_the_best(monkeypatch):

@@ -6,7 +6,10 @@ import re
 import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rootcause import graph as graph_module
 from rootcause import memory
 from rootcause.agents import VERDICTS, ChildCall, MetricAnomaly
 from rootcause.cli import main
@@ -15,7 +18,7 @@ from rootcause.graph import (
     CausalGraph,
     EdgeAttributes,
     NodeAttributes,
-    fingerprint,
+    divergence,
     node_id_for,
     similarity,
 )
@@ -104,6 +107,18 @@ def test_store_100_distinct_all_retrievable_by_alert_id():
     assert all(mem.by_alert(f"a{i}") is not None for i in range(100))
 
 
+def test_by_alert_finds_an_alert_whose_first_entry_was_replaced():
+    mem = Memory(dim=DIM)
+    g1, g2 = build_graph(["a-0", "b-0"]), build_graph(["c-0", "d-0"])
+    mem.store(make_entry(g1, alert_id="A"))
+    mem.store(make_entry(g2, alert_id="A", ts=T0 + 1))
+    mem.store(make_entry(g1, alert_id="B", ts=T0 + 2))  # replaces A's first entry
+    assert [e.alert_id for e in mem.entries().values()] == ["B", "A"]
+    assert mem.by_alert("A").graph is g2
+    assert mem.by_alert("B").graph is g1
+    assert mem.by_alert("C") is None
+
+
 def test_store_rejects_dangling_transcript_node():
     mem = Memory(dim=DIM)
     g = build_graph(["a-0", "b-0"])
@@ -125,7 +140,7 @@ def test_store_accepts_remapped_stale_steps_and_the_file_verifies(tmp_path, caps
     mem = Memory(dim=DIM)
     mem.store(entry)
     assert mem.by_alert("new") is entry
-    assert mem.retrieve(new, 1)[0][0] is entry
+    assert mem.decide(new, 0.98, 0.8, 1.0).matched is entry
 
     path = tmp_path / "mem.jsonl"
     mem.persist(path)
@@ -134,43 +149,51 @@ def test_store_accepts_remapped_stale_steps_and_the_file_verifies(tmp_path, caps
     assert "verified" in capsys.readouterr().out
 
 
-# -- retrieve --------------------------------------------------------------------
+# -- retrieval: decide's match ---------------------------------------------------
 
 
 def test_retrieve_self_is_rank_one():
     mem = Memory(dim=DIM)
-    g = build_graph(["a-0", "b-0", "c-0"])
-    mem.store(make_entry(g))
-    results = mem.retrieve(g, 1)
-    assert len(results) == 1
-    assert results[0][1] == pytest.approx(1.0, abs=1e-9)
+    graphs = [build_graph([f"p{i}-{j}" for j in range(1 + i % 4)], alert_id=f"a{i}")
+              for i in range(40)]
+    for g in graphs:
+        mem.store(make_entry(g))
+    for g in graphs:
+        d = mem.decide(g, 0.98, 0.8, 1.0)
+        assert d.kind == "Reuse" and d.matched.graph is g
+        assert d.similarity == pytest.approx(1.0, abs=1e-9)
 
 
-def test_retrieve_empty_memory():
-    mem = Memory(dim=DIM)
-    assert mem.retrieve(build_graph(["a-0"]), 3) == []
+def test_retrieve_empty_memory(monkeypatch):
+    passes = []
+    real_rounds = graph_module._wl_label_rounds
+    monkeypatch.setattr(graph_module, "_wl_label_rounds",
+                        lambda g: passes.append(g) or real_rounds(g))
+    d = Memory(dim=DIM).decide(build_graph(["a-0"]), 0.98, 0.8, 1.0)
+    assert (d.kind, d.matched, d.similarity, d.query) == ("Fresh", None, 0.0, None)
+    assert passes == []  # an empty memory keys no query
 
 
 def test_retrieve_matches_exhaustive_oracle():
+    # 50 entries, more than the shortlist: the oracle scores every one.
     rng = random.Random(17)
     mem = Memory(dim=DIM)
-    stored = []
     for i in range(50):
         labels = [f"s{rng.randrange(8)}-{j}" for j in range(rng.randrange(1, 5))]
         metrics = {l: {"m": (rng.uniform(0, 40), rng.uniform(0.5, 4))} for l in labels}
-        g = build_graph(sorted(set(labels)), metrics=metrics, alert_id=f"a{i}")
-        entry = make_entry(g)
-        mem.store(entry)
-        stored.append(mem.by_alert(f"a{i}"))
-    stored = mem.entries().values()
+        mem.store(make_entry(build_graph(sorted(set(labels)), metrics=metrics,
+                                         alert_id=f"a{i}")))
+    assert len(mem) > memory.SHORTLIST
 
     query = build_graph(["s1-0", "s2-1", "s3-2"], alert_id="query")
-    got = mem.retrieve(query, 5)
+    got = mem.decide(query, 0.98, 0.8, 1.0)
 
-    brute = [(e, similarity(query, e.graph, mem.alpha, DIM)) for e in stored]
-    brute.sort(key=lambda pair: (-pair[1], fingerprint(pair[0].graph).digest))
-    want = brute[:5]
-    assert [(e, round(s, 12)) for e, s in got] == [(e, round(s, 12)) for e, s in want]
+    brute = [(fp, e, similarity(query, e.graph, mem.alpha, DIM))
+             for fp, e in mem.entries().items()]
+    _, want, score = min(brute, key=lambda row: (-row[2], row[0]))
+    assert (got.matched, round(got.similarity, 12)) == (want, round(score, 12))
+    band = "Reuse" if score >= 0.98 else "Fresh" if score < 0.8 else "Resume"
+    assert got.kind == band or (band, got.kind, got.degraded) == ("Resume", "Reuse", True)
 
 
 # -- decide ----------------------------------------------------------------------
@@ -295,6 +318,55 @@ def test_remap_stale_count_matches_set_difference_oracle():
     removed_nodes = set(node_ids) - set(g_sub.nodes)
     expected_stale = sum(1 for s in steps if s.node in removed_nodes)
     assert sum(1 for s in out.steps if s.stale) == expected_stale
+
+
+# -- node and edge order ----------------------------------------------------------
+
+POD_POOL = [f"s{i}-{j}" for i in range(4) for j in range(2)]
+
+
+@st.composite
+def tree_graphs(draw, alert_id):
+    """A tree over 1-6 pods of ``POD_POOL``, each pod's metric mean drawn
+    from a few values so that matches land in every band."""
+    pods = draw(st.lists(st.sampled_from(POD_POOL), min_size=1, max_size=6, unique=True))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, len(pods))]
+    means = {p: {"m": (draw(st.sampled_from([10.0, 10.5, 14.0])), 2.0)} for p in pods}
+    graph = build_graph(pods, metrics=means, alert_id=alert_id, edges="none")
+    ids = [node_id_for(p, f"{p}/op") for p in pods]
+    edges = {(ids[parent], ids[i]): EdgeAttributes(1, 0) for i, parent in enumerate(parents, 1)}
+    return CausalGraph(alert_id, graph.window, graph.nodes, edges)
+
+
+def _permuted(g, rng):
+    """``g`` with its nodes and edges inserted in a shuffled order."""
+    nodes, edges = list(g.nodes.items()), list(g.edges.items())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return CausalGraph(g.alert_id, g.window, dict(nodes), dict(edges))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.integers(1, 8).flatmap(
+           lambda n: st.tuples(*(tree_graphs(f"a{i}") for i in range(n)))),
+       tree_graphs("query"), st.randoms(use_true_random=False))
+def test_decide_divergence_and_remap_ignore_node_and_edge_order(stored, query, rng):
+    permuted = [_permuted(g, rng) for g in stored]
+    memories = []
+    for graphs in (stored, permuted):
+        mem = Memory(dim=DIM)
+        for g in graphs:
+            mem.store(make_entry(g))
+        memories.append(mem)
+    query_p = _permuted(query, rng)
+    a = memories[0].decide(query, 0.98, 0.5, 1.0)
+    b = memories[1].decide(query_p, 0.98, 0.5, 1.0)
+    assert (b.kind, b.matched.alert_id, b.similarity, b.divergent_nodes, b.degraded) == \
+        (a.kind, a.matched.alert_id, a.similarity, a.divergent_nodes, a.degraded)
+    assert b.query.fingerprint == a.query.fingerprint
+    assert remap(b.matched, query_p) == remap(a.matched, query)
+    for g, g_p in zip(stored, permuted):
+        assert divergence(query_p, g_p, 1.0) == divergence(query, g, 1.0)
 
 
 # -- persistence ------------------------------------------------------------------
@@ -422,10 +494,18 @@ def test_persist_load_retrieve_parity(tmp_path):
     path = tmp_path / "mem.jsonl"
     mem.persist(path)
     loaded = Memory.load(path)
-    query = build_graph(["s1-0", "s2-1"], alert_id="q")
-    before = [(e.alert_id, round(s, 12)) for e, s in mem.retrieve(query, 5)]
-    after = [(e.alert_id, round(s, 12)) for e, s in loaded.retrieve(query, 5)]
-    assert before == after
+    queries = [build_graph(["s1-0", "s2-1"], alert_id="q")] + [
+        build_graph(sorted({f"s{rng.randrange(7)}-{j}" for j in range(rng.randrange(1, 4))}),
+                    alert_id=f"q{i}") for i in range(8)]
+    kinds = set()
+    for query in queries:
+        before, after = (m.decide(query, 0.98, 0.8, 1.0) for m in (mem, loaded))
+        assert (after.kind, after.matched.alert_id, after.similarity,
+                after.divergent_nodes, after.query.fingerprint) == \
+            (before.kind, before.matched.alert_id, before.similarity,
+             before.divergent_nodes, before.query.fingerprint)
+        kinds.add(before.kind)
+    assert len(kinds) > 1
 
 
 def test_persist_failing_mid_write_keeps_the_old_file(tmp_path, monkeypatch):

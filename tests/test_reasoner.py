@@ -608,6 +608,26 @@ def test_an_analysis_cannot_edit_the_transcript_its_memory_stored(walkthrough):
     assert again.transcript.steps == steps
 
 
+def test_a_caller_cannot_edit_the_graph_its_memory_stored(walkthrough, tmp_path):
+    store, alert = walkthrough
+    cfg = fast_config()
+    mem = Memory(dim=cfg.embedding_dim, alpha=cfg.alpha)
+    analyze_alert(alert, store, store.topology, mem, deterministic_policy(cfg), cfg)
+    again = analyze_alert(alert, store, store.topology, mem, deterministic_policy(cfg), cfg)
+    assert again.decision.kind == "Reuse"
+    for graph in (again.decision.matched.graph, *(e.graph for e in mem.entries().values())):
+        nodes = dict(graph.nodes)
+        with pytest.raises(AttributeError):
+            graph.nodes.clear()
+        with pytest.raises(TypeError):
+            graph.edges[("x", "y")] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.nodes = {}
+        assert graph.nodes == nodes
+    mem.persist(tmp_path / "memory.jsonl")
+    assert len(Memory.load(tmp_path / "memory.jsonl")) == len(mem)
+
+
 # Output digests of the three bands on acceptance 05's scenario: any change
 # to a ranking, counter, transcript or stored byte of a band shows here.
 BAND_DIGESTS = {

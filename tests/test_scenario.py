@@ -140,7 +140,7 @@ def test_zero_jitter_clones_share_fingerprint():
     store = dup.to_store()
     base_alert = sc.alerts[0]
     fam = [a for a in dup.alerts if a.alert_id.startswith(base_alert.alert_id)]
-    prints = {fingerprint(extract(a, store, dup.topology)).digest for a in fam}
+    prints = {fingerprint(extract(a, store, dup.topology)) for a in fam}
     assert len(prints) == 1
     g0 = extract(base_alert, store, dup.topology)
     for a in fam[1:]:

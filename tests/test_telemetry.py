@@ -36,8 +36,9 @@ def small_topology():
 
 def test_walkthrough_store_single_trace_with_error_root():
     store = walkthrough_store()
-    assert store.trace_ids == ["tr-walkthrough"]
-    assert store.root_of("tr-walkthrough").status_code == 13
+    assert {s.trace_id for s in store.spans} == {"tr-walkthrough"}
+    (root,) = [s for s in store.trace("tr-walkthrough") if s.is_root]
+    assert root.status_code == 13
 
 
 def test_ingest_empty_directory(tmp_path):
@@ -274,14 +275,17 @@ def test_ingested_columns_equal_the_records_store(rows, rng, windows):
         assert ingest(Path(tmp) / "out").metrics == tuple(ordered)
     for t0, delta in windows:
         for comp in COMPONENTS:
-            assert slice_window(ingested, t0, delta, comp) == slice_window(built, t0, delta, comp)
+            got = slice_window(ingested, t0, delta, comp)
+            assert got == slice_window(built, t0, delta, comp)
+            assert got[1] == sorted((m for m in ordered if m.component == comp
+                                     and t0 - delta <= m.timestamp <= t0 + delta),
+                                    key=lambda m: (m.timestamp, m.metric))
             for metric in METRICS:
                 want = [m for m in ordered if m.component == comp and m.metric == metric
                         and t0 - delta <= m.timestamp <= t0 + delta]
-                got = ingested.metric_series(comp, metric, t0 - delta, t0 + delta)
-                assert got == built.metric_series(comp, metric, t0 - delta, t0 + delta) == want
-                times, values = ingested.metric_window(comp, metric, t0 - delta, t0 + delta)
-                assert list(zip(times, values)) == [(m.timestamp, m.value) for m in want]
+                for store in (ingested, built):
+                    times, values = store.metric_window(comp, metric, t0 - delta, t0 + delta)
+                    assert list(zip(times, values)) == [(m.timestamp, m.value) for m in want]
 
 
 def test_ingest_builds_no_metric_sample(tmp_path, monkeypatch):
